@@ -133,6 +133,27 @@ impl CopyMeter {
         self.record(layer, src.len());
     }
 
+    /// Copy `parts`, back to back, into `dst` as one metered copy at
+    /// `layer`: a gather write that crosses one boundary once.
+    ///
+    /// # Panics
+    /// If `dst` is not exactly as long as the parts together.
+    pub fn copy_gather(&self, layer: CopyLayer, dst: &mut [u8], parts: &[&[u8]]) {
+        let total: usize = parts.iter().map(|p| p.len()).sum();
+        assert_eq!(
+            dst.len(),
+            total,
+            "metered gather length mismatch at {}",
+            layer.name()
+        );
+        let mut at = 0;
+        for p in parts {
+            dst[at..at + p.len()].copy_from_slice(p);
+            at += p.len();
+        }
+        self.record(layer, total);
+    }
+
     /// Bytes recorded so far at `layer`.
     #[inline]
     pub fn bytes(&self, layer: CopyLayer) -> u64 {

@@ -63,16 +63,11 @@ impl PoolInner {
         {
             let mut free = self.free.lock();
             // Exact class first, then any class that fits (BTreeMap range).
-            let key = free
-                .range(want..)
-                .find(|(_, v)| !v.is_empty())
-                .map(|(&k, _)| k);
-            if let Some(k) = key {
-                let list = free.get_mut(&k).expect("key just observed");
-                let buf = list.pop().expect("non-empty just observed");
-                if list.is_empty() {
-                    free.remove(&k);
-                }
+            // Emptied lists stay in the map: removing one here would make
+            // the next `release` of that class allocate a fresh list (and
+            // map node), so a lone buffer cycling through the pool would
+            // cost two heap allocations per round trip.
+            if let Some(buf) = free.range_mut(want..).find_map(|(_, list)| list.pop()) {
                 self.retained
                     .fetch_sub(buf.capacity() as u64, Ordering::Relaxed);
                 self.reuses.fetch_add(1, Ordering::Relaxed);

@@ -214,6 +214,11 @@ impl<'a> CdrDecoder<'a> {
 
     /// `string`: ulong length including NUL, UTF-8 bytes, NUL.
     pub fn read_string(&mut self) -> CdrResult<String> {
+        self.read_str().map(str::to_owned)
+    }
+
+    /// `string`, borrowed from the stream instead of copied out.
+    pub fn read_str(&mut self) -> CdrResult<&'a str> {
         let len = self.read_u32()?;
         let len = self.checked_len(len, 1)?;
         if len == 0 {
@@ -224,9 +229,7 @@ impl<'a> CdrDecoder<'a> {
         if bytes[len - 1] != 0 {
             return Err(CdrError::InvalidString);
         }
-        std::str::from_utf8(&bytes[..len - 1])
-            .map(str::to_owned)
-            .map_err(|_| CdrError::InvalidString)
+        std::str::from_utf8(&bytes[..len - 1]).map_err(|_| CdrError::InvalidString)
     }
 
     /// Bulk octet read: ulong count then the raw bytes, copied out (and

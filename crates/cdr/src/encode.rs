@@ -8,9 +8,11 @@ use crate::endian::{self, ByteOrder};
 
 /// Encodes values into a CDR stream.
 ///
-/// Alignment is computed relative to the start of the encoder's buffer,
-/// which in GIOP corresponds to the first byte after the 12-byte message
-/// header (the header itself is laid out so that the body starts 8-aligned).
+/// Alignment is computed relative to the stream's *origin*: the start of
+/// the encoder's buffer, or, for an encoder built with
+/// [`CdrEncoder::append_to`], the first byte after what the buffer already
+/// held. In GIOP the origin is the first byte after the 12-byte message
+/// header, so a message is encoded behind its header in one buffer.
 ///
 /// The encoder carries the two pieces of per-connection context the paper's
 /// optimization needs:
@@ -23,6 +25,8 @@ use crate::endian::{self, ByteOrder};
 ///   pushes its payload here instead of copying it into the stream.
 pub struct CdrEncoder {
     buf: Vec<u8>,
+    /// Offset in `buf` that alignment counts from.
+    origin: usize,
     order: ByteOrder,
     meter: Option<Arc<CopyMeter>>,
     zc_enabled: bool,
@@ -32,8 +36,18 @@ pub struct CdrEncoder {
 impl CdrEncoder {
     /// New encoder writing in `order`.
     pub fn new(order: ByteOrder) -> CdrEncoder {
+        CdrEncoder::append_to(Vec::new(), order)
+    }
+
+    /// New encoder that writes its stream behind the bytes `buf` already
+    /// holds (a protocol header, say), with alignment counted from the end
+    /// of those bytes. [`CdrEncoder::finish`] hands back the whole buffer.
+    /// Pass a cleared, previously used buffer to encode without growing a
+    /// fresh allocation.
+    pub fn append_to(buf: Vec<u8>, order: ByteOrder) -> CdrEncoder {
         CdrEncoder {
-            buf: Vec::new(),
+            origin: buf.len(),
+            buf,
             order,
             meter: None,
             zc_enabled: false,
@@ -68,14 +82,14 @@ impl CdrEncoder {
         self.zc_enabled
     }
 
-    /// Bytes encoded so far.
+    /// Bytes encoded so far (not counting what the buffer held before).
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.origin
     }
 
     /// Whether nothing has been encoded yet.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Number of deposited out-of-band blocks so far.
@@ -86,7 +100,7 @@ impl CdrEncoder {
     /// Insert padding so the next write lands on an `n`-byte boundary.
     pub fn align(&mut self, n: usize) {
         debug_assert!(n.is_power_of_two() && n <= 8);
-        let misalign = self.buf.len() % n;
+        let misalign = self.len() % n;
         if misalign != 0 {
             // CDR padding octets have unspecified value; we use zero.
             self.buf.resize(self.buf.len() + (n - misalign), 0);
@@ -210,20 +224,44 @@ impl CdrEncoder {
 
     /// Encode a nested *encapsulation*: a length-prefixed, independently
     /// aligned CDR stream starting with its own endianness octet. Used for
-    /// IOR profile bodies and service-context data.
+    /// IOR profile bodies.
     pub fn write_encapsulation(&mut self, f: impl FnOnce(&mut CdrEncoder)) {
-        let mut inner = CdrEncoder::new(self.order);
-        inner.write_octet(self.order.flag() as u8);
-        f(&mut inner);
-        assert!(
-            inner.deposits.is_empty(),
-            "deposits are not allowed inside encapsulations"
-        );
-        self.write_u32(inner.buf.len() as u32);
-        self.buf.extend_from_slice(&inner.buf);
+        self.write_encapsulation_in(self.order, f);
     }
 
-    /// Finish encoding: the CDR stream plus the deposit list.
+    /// Encode a nested encapsulation whose contents use `order`, which may
+    /// differ from the stream's. It is written in place: the length is
+    /// patched in afterwards, so no inner buffer is staged. Used for
+    /// service-context data.
+    ///
+    /// # Panics
+    /// If `f` pushes deposits.
+    pub fn write_encapsulation_in(&mut self, order: ByteOrder, f: impl FnOnce(&mut CdrEncoder)) {
+        self.align(4);
+        let len_at = self.buf.len();
+        self.write_u32(0); // length, patched below
+        let outer = (self.origin, self.order);
+        let deposits = self.deposits.len();
+        self.origin = self.buf.len();
+        self.order = order;
+        self.write_octet(order.flag() as u8);
+        f(self);
+        assert_eq!(
+            self.deposits.len(),
+            deposits,
+            "deposits are not allowed inside encapsulations"
+        );
+        let len = self.len() as u32;
+        (self.origin, self.order) = outer;
+        let len = endian::write_u32(self.order, len);
+        let patch = self.buf.get_mut(len_at..).unwrap_or_default();
+        for (dst, src) in patch.iter_mut().zip(len) {
+            *dst = src;
+        }
+    }
+
+    /// Finish encoding: the buffer (with the stream appended to whatever it
+    /// held at construction) plus the deposit list.
     pub fn finish(self) -> (Vec<u8>, Vec<ZcBytes>) {
         (self.buf, self.deposits)
     }
@@ -237,9 +275,9 @@ impl CdrEncoder {
         self.buf
     }
 
-    /// Peek at the encoded bytes (primarily for tests).
+    /// Peek at the encoded stream (primarily for tests).
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf
+        &self.buf[self.origin..]
     }
 }
 
@@ -319,6 +357,46 @@ mod tests {
         // inner alignment is relative to the encapsulation start: flag octet
         // then 3 pad bytes then the ulong.
         assert_eq!(&encap[4..8], &0x11223344u32.to_le_bytes());
+    }
+
+    #[test]
+    fn appended_stream_aligns_from_its_own_start() {
+        let mut e = CdrEncoder::append_to(vec![0xEE; 12], ByteOrder::Big);
+        e.write_octet(1);
+        e.write_u64(2); // 7 pad bytes relative to the origin, not 3
+        assert_eq!(e.len(), 16);
+        let (buf, _) = e.finish();
+        assert_eq!(&buf[..12], &[0xEE; 12]);
+        assert_eq!(&buf[20..], &2u64.to_be_bytes());
+    }
+
+    #[test]
+    fn in_place_encapsulation_matches_a_staged_one() {
+        // The staged form: an inner stream in `inner_order`, written as an
+        // octet sequence into the outer stream.
+        for (outer, inner_order) in [
+            (ByteOrder::Big, ByteOrder::Little),
+            (ByteOrder::Little, ByteOrder::Big),
+            (ByteOrder::Little, ByteOrder::Little),
+        ] {
+            let mut inner = CdrEncoder::new(inner_order);
+            inner.write_octet(inner_order.flag() as u8);
+            inner.write_u64(0x0102_0304_0506_0708);
+            inner.write_u32(9);
+            let mut staged = CdrEncoder::new(outer);
+            staged.write_octet(3);
+            staged.write_octet_seq(inner.as_slice());
+            staged.write_u32(5);
+
+            let mut e = CdrEncoder::new(outer);
+            e.write_octet(3);
+            e.write_encapsulation_in(inner_order, |i| {
+                i.write_u64(0x0102_0304_0506_0708);
+                i.write_u32(9);
+            });
+            e.write_u32(5);
+            assert_eq!(e.as_slice(), staged.as_slice());
+        }
     }
 
     #[test]

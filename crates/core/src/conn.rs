@@ -20,13 +20,25 @@
 //! `separate_data = false` keeps descriptors but embeds the blocks in the
 //! control message — coupling synchronization and data again, which
 //! re-introduces buffering copies at both ends.
+//!
+//! Each GIOP message exists in one user-space buffer on each side. The
+//! sender encodes the GIOP header, the Request/Reply header and its
+//! service contexts in place into one reusable per-connection buffer and
+//! hands the transport that buffer plus the argument bytes as a gather
+//! send. The receiver decodes the header by borrowing from the frame the
+//! transport read, and keeps that frame as the message body. The kernel
+//! crossings are the only copies; reassembling a fragment train is the one
+//! exception.
 
-use zc_buffers::ZcBytes;
+use std::ops::Range;
+
+use zc_buffers::{CopyLayer, ZcBytes};
 use zc_cdr::{ByteOrder, CdrDecoder, CdrEncoder};
 use zc_giop::{
-    fragment_frames, DepositManifest, GiopHeader, GiopVersion, Handshake, MessageType, Negotiated,
-    ReplyHeader, ReplyStatus, RequestHeader, SystemException, TraceContext, ZcHealthContext,
-    GIOP_HEADER_LEN,
+    begin_message, fragments, set_msg_size, ContextOut, GiopHeader, GiopVersion, Handshake,
+    ManifestView, MessageType, Negotiated, ReplyHeaderOut, ReplyHeaderRef, ReplyStatus,
+    RequestHeaderOut, RequestHeaderRef, SystemException, TraceContext, ZcHealthContext,
+    GIOP_HEADER_LEN, MAX_GIOP_MESSAGE,
 };
 use zc_trace::{EventKind, TraceLayer};
 use zc_transport::{Connection, TransportCtx, TransportError};
@@ -36,6 +48,16 @@ use zc_transport::{Connection, TransportCtx, TransportError};
 /// with very large marshaled-inline payloads; fragmentation keeps every
 /// single control frame bounded, as GIOP 1.2 intends.
 pub const FRAGMENT_THRESHOLD: usize = 4 << 20;
+
+/// Argument/result buffers a connection keeps for reuse (one per caller
+/// sharing it is enough to stop encoder growth in steady state).
+const SPARE_BODIES: usize = 2;
+
+/// Largest buffer capacity a connection keeps for reuse, as a spare body
+/// or as its send buffer. Small calls stop allocating; a large inline
+/// message frees its buffers instead of pinning them for the connection's
+/// lifetime outside the page pool's retention bound.
+const SPARE_BUF_MAX_CAPACITY: usize = 64 << 10;
 
 use crate::{OrbError, OrbResult};
 
@@ -105,13 +127,20 @@ struct DegradeState {
     last_was_probe: bool,
 }
 
-/// An incoming request as surfaced to the server loop.
+/// An incoming request as surfaced to the server loop. It holds the
+/// received message and offsets into it, not copies of its parts.
 #[derive(Debug)]
 pub struct IncomingRequest {
-    /// Parsed request header.
-    pub header: RequestHeader,
-    /// The full GIOP body (header + padding + arguments).
-    pub body: Vec<u8>,
+    /// The full GIOP body (header + padding + arguments), as received.
+    pub body: ZcBytes,
+    /// Request id; the reply echoes it.
+    pub request_id: u32,
+    /// `false` for oneway operations.
+    pub response_expected: bool,
+    /// Where the object key lies in `body`.
+    object_key: Range<usize>,
+    /// Where the operation name lies in `body`.
+    operation: Range<usize>,
     /// Offset of the first argument within `body`.
     pub args_offset: usize,
     /// Deposited blocks, in descriptor-index order.
@@ -125,11 +154,31 @@ pub struct IncomingRequest {
     pub trace_id: u64,
 }
 
+impl IncomingRequest {
+    /// The target object key.
+    pub fn object_key(&self) -> &[u8] {
+        &self.body[self.object_key.start..self.object_key.end]
+    }
+
+    /// The operation name (validated as UTF-8 when the header decoded).
+    pub fn operation(&self) -> &str {
+        std::str::from_utf8(&self.body[self.operation.start..self.operation.end])
+            .unwrap_or_default()
+    }
+}
+
+/// Where `part`, a subslice of `whole`, lies within it.
+fn span_in(whole: &[u8], part: &[u8]) -> Range<usize> {
+    let start = part.as_ptr() as usize - whole.as_ptr() as usize;
+    debug_assert!(start + part.len() <= whole.len(), "not a subslice");
+    start..start + part.len()
+}
+
 /// An incoming successful reply as surfaced to the client.
 #[derive(Debug)]
 pub struct IncomingReply {
-    /// The full GIOP body (header + padding + results).
-    pub body: Vec<u8>,
+    /// The full GIOP body (header + padding + results), as received.
+    pub body: ZcBytes,
     /// Offset of the first result value within `body`.
     pub results_offset: usize,
     /// Deposited blocks, in descriptor-index order.
@@ -165,6 +214,13 @@ pub struct GiopConn {
     pending_journey: Option<(u64, u32, u8)>,
     /// Zero-copy send-path health (graceful degradation).
     degrade: DegradeState,
+    /// Every outgoing message's header part is encoded here, behind its
+    /// GIOP header; the allocation is reused from message to message
+    /// while it stays within [`SPARE_BUF_MAX_CAPACITY`].
+    send_buf: Vec<u8>,
+    /// Finished argument/result buffers, handed out again by
+    /// [`GiopConn::body_encoder`].
+    spare_bodies: Vec<Vec<u8>>,
 }
 
 impl GiopConn {
@@ -175,25 +231,11 @@ impl GiopConn {
         ctx: TransportCtx,
         tuning: ConnTuning,
     ) -> OrbResult<GiopConn> {
-        conn.send_control(&local.encode())?;
+        conn.send_control(&[&local.encode()])?;
         let remote_bytes = conn.recv_control()?;
         let remote = Handshake::decode(&remote_bytes)?;
         let negotiated = Handshake::negotiate(&local, &remote);
-        let conn_id = conn.trace_conn_id();
-        ctx.telemetry.note_conn_open();
-        Ok(GiopConn {
-            conn,
-            negotiated,
-            ctx,
-            tuning,
-            next_request_id: 1,
-            version: GiopVersion::V1_2,
-            poisoned: false,
-            conn_id,
-            last_trace_id: 0,
-            pending_journey: None,
-            degrade: DegradeState::default(),
-        })
+        Ok(GiopConn::established(conn, negotiated, ctx, tuning))
     }
 
     /// Server-side establishment: read the client's handshake, answer.
@@ -205,12 +247,21 @@ impl GiopConn {
     ) -> OrbResult<GiopConn> {
         let remote_bytes = conn.recv_control()?;
         let remote = Handshake::decode(&remote_bytes)?;
-        conn.send_control(&local.encode())?;
+        conn.send_control(&[&local.encode()])?;
         // Client is the `client` argument of negotiate on both sides.
         let negotiated = Handshake::negotiate(&remote, &local);
+        Ok(GiopConn::established(conn, negotiated, ctx, tuning))
+    }
+
+    fn established(
+        conn: Box<dyn Connection>,
+        negotiated: Negotiated,
+        ctx: TransportCtx,
+        tuning: ConnTuning,
+    ) -> GiopConn {
         let conn_id = conn.trace_conn_id();
         ctx.telemetry.note_conn_open();
-        Ok(GiopConn {
+        GiopConn {
             conn,
             negotiated,
             ctx,
@@ -222,7 +273,9 @@ impl GiopConn {
             last_trace_id: 0,
             pending_journey: None,
             degrade: DegradeState::default(),
-        })
+            send_buf: Vec::new(),
+            spare_bodies: Vec::new(),
+        }
     }
 
     /// The negotiated connection mode.
@@ -273,18 +326,15 @@ impl GiopConn {
 
     /// Our receive-side speculation counters, piggybacked for the peer's
     /// degradation decision (only meaningful on zero-copy connections).
-    fn zc_health_context(&self) -> Option<zc_giop::ServiceContext> {
+    fn zc_health_context(&self) -> Option<ContextOut<'static>> {
         if !self.negotiated.zero_copy {
             return None;
         }
         let st = self.conn.stats();
-        Some(
-            ZcHealthContext {
-                spec_hits: st.spec_hits,
-                spec_misses: st.spec_misses,
-            }
-            .to_context(),
-        )
+        Some(ContextOut::Health(ZcHealthContext {
+            spec_hits: st.spec_hits,
+            spec_misses: st.spec_misses,
+        }))
     }
 
     /// Digest a peer health report: compute the delta since the last one
@@ -351,12 +401,11 @@ impl GiopConn {
         }
     }
 
-    /// Scan a service-context list for a peer health report and feed it to
-    /// the degradation state machine. Malformed reports are ignored, like
-    /// malformed trace contexts: health is advisory and must never fail a
-    /// message.
-    fn note_peer_health_in(&mut self, contexts: &[zc_giop::ServiceContext]) {
-        if let Ok(Some(h)) = ZcHealthContext::find_in(contexts) {
+    /// Feed a received peer health report, if any, to the degradation
+    /// state machine. Malformed reports decode as absent, like malformed
+    /// trace contexts: health is advisory and must never fail a message.
+    fn note_peer_health_in(&mut self, health: Option<ZcHealthContext>) {
+        if let Some(h) = health {
             self.note_peer_health(h);
         }
     }
@@ -413,14 +462,31 @@ impl GiopConn {
     }
 
     /// An argument/result encoder configured for this connection (meter,
-    /// byte order, ZC mode). Takes `&mut self` because the degradation
-    /// state machine decides per message whether this encoder uses
-    /// descriptors or marshals inline (and counts probe scheduling).
+    /// byte order, ZC mode), writing into a recycled buffer when one is
+    /// spare. Takes `&mut self` because the degradation state machine
+    /// decides per message whether this encoder uses descriptors or
+    /// marshals inline (and counts probe scheduling).
     pub fn body_encoder(&mut self) -> CdrEncoder {
         let zc = self.zc_send_active();
-        CdrEncoder::new(self.wire_order())
+        CdrEncoder::append_to(self.spare_body(), self.wire_order())
             .with_meter(std::sync::Arc::clone(&self.ctx.meter))
             .with_zc(zc)
+    }
+
+    /// An empty buffer, recycled when one is spare.
+    fn spare_body(&mut self) -> Vec<u8> {
+        let mut buf = self.spare_bodies.pop().unwrap_or_default();
+        buf.clear();
+        buf
+    }
+
+    /// Hand a finished argument/result buffer back for the next
+    /// [`GiopConn::body_encoder`], so steady-state encoding stops growing
+    /// fresh allocations. Buffers over [`SPARE_BUF_MAX_CAPACITY`] are freed.
+    pub fn recycle_body(&mut self, buf: Vec<u8>) {
+        if self.spare_bodies.len() < SPARE_BODIES && buf.capacity() <= SPARE_BUF_MAX_CAPACITY {
+            self.spare_bodies.push(buf);
+        }
     }
 
     fn alloc_request_id(&mut self) -> u32 {
@@ -429,24 +495,96 @@ impl GiopConn {
         id
     }
 
-    /// Assemble and send a GIOP message whose body is `header_enc` followed
-    /// by 8-aligned `payload_bytes`, with `deposits` travelling per tuning.
+    /// Start the next outgoing message in the connection's send buffer;
+    /// [`GiopConn::send_encoded`] sends it and takes the buffer back.
+    fn begin(&mut self, msg_type: MessageType) -> CdrEncoder {
+        let buf = std::mem::take(&mut self.send_buf);
+        begin_message(buf, self.version, self.wire_order(), msg_type)
+    }
+
+    /// Send a message begun with [`GiopConn::begin`]: its encoded header
+    /// part, then `tail` (argument or result bytes) gathered behind it.
+    /// Returns the body length sent.
+    fn send_encoded(
+        &mut self,
+        msg_type: MessageType,
+        enc: CdrEncoder,
+        tail: &[u8],
+    ) -> OrbResult<usize> {
+        let (mut head, _) = enc.finish();
+        let sent = self.send_framed(msg_type, &mut head, tail);
+        if head.capacity() <= SPARE_BUF_MAX_CAPACITY {
+            self.send_buf = head;
+        }
+        sent
+    }
+
+    /// Frame (and if necessary fragment) one message onto the control
+    /// path. `head` holds the GIOP header and the start of the body; the
+    /// body ends with `tail`. Nothing is joined in user space: an
+    /// unfragmented message goes out as the two parts with its size
+    /// patched into `head`, and each fragment as its own 12-byte header
+    /// plus slices of the parts.
+    fn send_framed(
+        &mut self,
+        msg_type: MessageType,
+        head: &mut [u8],
+        tail: &[u8],
+    ) -> OrbResult<usize> {
+        let body_len = head.len() - GIOP_HEADER_LEN + tail.len();
+        if body_len <= FRAGMENT_THRESHOLD {
+            set_msg_size(head, tail.len());
+            self.conn.send_control(&[head, tail])?;
+            return Ok(body_len);
+        }
+        let body = [&head[GIOP_HEADER_LEN..], tail];
+        for (header, [a, b]) in fragments(
+            self.version,
+            self.wire_order(),
+            msg_type,
+            body,
+            FRAGMENT_THRESHOLD,
+        ) {
+            self.conn.send_control(&[&header, a, b])?;
+        }
+        Ok(body_len)
+    }
+
+    /// Finish and send a Request or Reply whose header part `enc` already
+    /// holds: 8-aligned `payload` bytes follow it, and `deposits` travel
+    /// per tuning.
     fn send_message(
         &mut self,
         msg_type: MessageType,
-        mut header_enc: CdrEncoder,
+        mut enc: CdrEncoder,
         payload: &[u8],
-        deposits: Vec<ZcBytes>,
+        deposits: &[ZcBytes],
     ) -> OrbResult<()> {
-        if self.tuning.separate_data || deposits.is_empty() {
-            header_enc.align(8);
-            header_enc.write_raw(payload);
-            let body = header_enc.finish_stream();
-            self.send_framed(msg_type, &body)?;
-            let mut sent = body.len() as u64;
+        let separate = self.tuning.separate_data || deposits.is_empty();
+        if !separate {
+            // Ablation A1: couple data back into the control message.
+            // Blocks are *copied* inline (metered as marshal: this is the
+            // buffering the separation avoids), before the argument bytes.
+            for block in deposits {
+                if self.ctx.telemetry.is_enabled() {
+                    self.ctx
+                        .telemetry
+                        .metrics()
+                        .deposit_block_bytes
+                        .record(block.len() as u64);
+                }
+                enc.align(8);
+                enc.write_u32(block.len() as u32);
+                enc.write_raw(block.as_slice());
+                self.ctx.meter.record(CopyLayer::Marshal, block.len());
+            }
+        }
+        enc.align(8);
+        let mut sent = self.send_encoded(msg_type, enc, payload)? as u64;
+        if separate {
             // Data transfer, decoupled: blocks follow on the data path,
             // already announced by the manifest in the control message.
-            for block in &deposits {
+            for block in deposits {
                 self.conn.send_data(block)?;
                 sent += block.len() as u64;
                 if self.ctx.telemetry.is_enabled() {
@@ -464,74 +602,25 @@ impl GiopConn {
                     block.len() as u64,
                 );
             }
-            // One window tick per message (not per frame): the tx rate
-            // signal costs a clock read, which is too hot for the MTU loop.
-            self.ctx.telemetry.note_wire_tx(sent);
-        } else {
-            // Ablation A1: couple data back into the control message.
-            // Blocks are *copied* inline (metered as marshal: this is the
-            // buffering the separation avoids), before the argument bytes.
-            for block in &deposits {
-                if self.ctx.telemetry.is_enabled() {
-                    self.ctx
-                        .telemetry
-                        .metrics()
-                        .deposit_block_bytes
-                        .record(block.len() as u64);
-                }
-                header_enc.align(8);
-                let bytes = block.as_slice();
-                header_enc.write_u32(bytes.len() as u32);
-                // metered bulk copy into the control buffer
-                let mut tmp = vec![0u8; bytes.len()];
-                self.ctx
-                    .meter
-                    .copy(zc_buffers::CopyLayer::Marshal, &mut tmp, bytes);
-                header_enc.write_raw(&tmp);
-            }
-            header_enc.align(8);
-            header_enc.write_raw(payload);
-            let body = header_enc.finish_stream();
-            self.send_framed(msg_type, &body)?;
-            self.ctx.telemetry.note_wire_tx(body.len() as u64);
         }
-        Ok(())
-    }
-
-    /// Frame (and if necessary fragment) a GIOP body onto the control path.
-    fn send_framed(&mut self, msg_type: MessageType, body: &[u8]) -> OrbResult<()> {
-        for frame in fragment_frames(
-            self.version,
-            self.wire_order(),
-            msg_type,
-            body,
-            FRAGMENT_THRESHOLD,
-        ) {
-            self.conn.send_control(&frame)?;
-        }
+        // One window tick per message (not per frame): the tx rate
+        // signal costs a clock read, which is too hot for the MTU loop.
+        self.ctx.telemetry.note_wire_tx(sent);
         Ok(())
     }
 
     /// Receive one GIOP message, reassembling `Fragment` continuations;
-    /// returns `(type, body, order)`.
-    fn recv_message(&mut self) -> OrbResult<(MessageType, Vec<u8>, ByteOrder)> {
-        let (hdr, mut body) = self.recv_one_frame()?;
+    /// returns `(type, body, order)`. An unfragmented body is a view of the
+    /// frame the transport received into, not a copy of it.
+    fn recv_message(&mut self) -> OrbResult<(MessageType, ZcBytes, ByteOrder)> {
+        let (hdr, first) = self.recv_one_frame()?;
         let msg_type = hdr.msg_type;
         let order = hdr.flags.order;
-        let mut more = hdr.flags.more_fragments;
-        while more {
-            let (cont_hdr, cont_body) = self.recv_one_frame()?;
-            if cont_hdr.msg_type != MessageType::Fragment {
-                // zc-audit: allow(control-plane) — protocol error diagnostic
-                return Err(OrbError::Protocol(format!(
-                    "expected Fragment continuation, got {:?}",
-                    cont_hdr.msg_type
-                )));
-            }
-            // zc-audit: allow(copy) — control-path fragment reassembly; models the KernelDefrag layer
-            body.extend_from_slice(&cont_body);
-            more = cont_hdr.flags.more_fragments;
-        }
+        let body = if hdr.flags.more_fragments {
+            self.reassemble(first)?
+        } else {
+            first
+        };
         // Watermark: peak bytes a fragment train held in reassembly. The
         // body only grows, so one post-loop sample sees the same peak as a
         // per-fragment sample would — at message, not MTU, granularity.
@@ -542,17 +631,66 @@ impl GiopConn {
         Ok((msg_type, body, order))
     }
 
-    /// Receive exactly one GIOP frame from the control path.
-    fn recv_one_frame(&mut self) -> OrbResult<(GiopHeader, Vec<u8>)> {
+    /// Join the `Fragment` continuations of a message whose first fragment
+    /// body is `first` into one pool buffer: the one user-space copy of a
+    /// GIOP message this connection makes. Each frame is appended and
+    /// dropped as it arrives, so the train holds body bytes, not one
+    /// receive buffer per fragment.
+    fn reassemble(&mut self, first: ZcBytes) -> OrbResult<ZcBytes> {
+        // Room for a second fragment as large as the first: trains of up
+        // to two send-side fragments never regrow.
+        let room = (2 * first.len()).clamp(1, MAX_GIOP_MESSAGE as usize);
+        let mut body = self.ctx.pool.acquire(room);
+        let mut part = first;
+        let mut more = true;
+        loop {
+            // Each fragment is capped on its own; the train must be too,
+            // or a long one would pin the receiver's memory piece by piece.
+            let total = (body.len() + part.len()) as u64;
+            if total > MAX_GIOP_MESSAGE {
+                return Err(zc_giop::GiopError::MessageTooLarge(total).into());
+            }
+            if body.len() + part.len() > body.capacity() {
+                // Grow geometrically: the bytes joined so far move about
+                // once more in all, as a growing `Vec` would move them.
+                let cap = (body.len() + part.len()).max(2 * body.capacity());
+                let grown = self.ctx.pool.acquire(cap.min(MAX_GIOP_MESSAGE as usize));
+                let joined = std::mem::replace(&mut body, grown);
+                // zc-audit: allow(copy) — reassembly buffer growth; models the KernelDefrag layer
+                body.extend_from_slice(&joined);
+            }
+            // zc-audit: allow(copy) — control-path fragment reassembly; models the KernelDefrag layer
+            body.extend_from_slice(&part);
+            if !more {
+                return Ok(body.freeze());
+            }
+            let (hdr, next) = self.recv_one_frame()?;
+            if hdr.msg_type != MessageType::Fragment {
+                // zc-audit: allow(control-plane) — protocol error diagnostic
+                return Err(OrbError::Protocol(format!(
+                    "expected Fragment continuation, got {:?}",
+                    hdr.msg_type
+                )));
+            }
+            more = hdr.flags.more_fragments;
+            part = next;
+        }
+    }
+
+    /// Receive exactly one GIOP frame from the control path; returns its
+    /// header and a view of its body.
+    fn recv_one_frame(&mut self) -> OrbResult<(GiopHeader, ZcBytes)> {
         let raw = self.conn.recv_control()?;
-        if raw.len() < GIOP_HEADER_LEN {
+        let Some(Ok(hdr_bytes)) = raw
+            .get(..GIOP_HEADER_LEN)
+            .map(<[u8; GIOP_HEADER_LEN]>::try_from)
+        else {
             // zc-audit: allow(control-plane) — protocol error diagnostic
             return Err(OrbError::Protocol(format!(
                 "short GIOP frame ({} bytes)",
                 raw.len()
             )));
-        }
-        let hdr_bytes: [u8; GIOP_HEADER_LEN] = raw[..GIOP_HEADER_LEN].try_into().expect("checked");
+        };
         let hdr = GiopHeader::decode(&hdr_bytes)?;
         if raw.len() != GIOP_HEADER_LEN + hdr.msg_size as usize {
             // zc-audit: allow(control-plane) — protocol error diagnostic
@@ -562,8 +700,7 @@ impl GiopConn {
                 raw.len() - GIOP_HEADER_LEN
             )));
         }
-        // zc-audit: allow(control-plane) — GIOP control frames carry headers only; payload travels as deposits
-        Ok((hdr, raw[GIOP_HEADER_LEN..].to_vec()))
+        Ok((hdr, raw.slice(GIOP_HEADER_LEN..)))
     }
 
     /// Pull announced deposits (separated path) or extract inline blocks
@@ -571,7 +708,7 @@ impl GiopConn {
     /// offset in `body` where argument decoding should resume.
     fn collect_deposits(
         &mut self,
-        manifest: Option<DepositManifest>,
+        manifest: Option<ManifestView<'_>>,
         body: &[u8],
         after_header: usize,
         order: ByteOrder,
@@ -582,7 +719,7 @@ impl GiopConn {
         };
         if self.tuning.separate_data {
             let mut blocks = Vec::with_capacity(manifest.block_count());
-            for &len in &manifest.block_lengths {
+            for len in manifest.lengths() {
                 blocks.push(self.conn.recv_data(len as usize)?);
                 self.ctx.telemetry.note_wire_rx(len);
                 self.ctx.telemetry.record(
@@ -601,7 +738,7 @@ impl GiopConn {
                 CdrDecoder::new(body, order).with_meter(std::sync::Arc::clone(&self.ctx.meter));
             dec.skip(after_header)?;
             let mut blocks = Vec::with_capacity(manifest.block_count());
-            for &len in &manifest.block_lengths {
+            for len in manifest.lengths() {
                 dec.align(8)?;
                 let announced = dec.read_u32()? as u64;
                 if announced != len {
@@ -669,21 +806,23 @@ impl GiopConn {
         args_enc: CdrEncoder,
     ) -> OrbResult<u32> {
         let (args, deposits) = args_enc.finish();
-        self.send_request_raw(object_key, operation, response_expected, &args, deposits)
+        let id = self.send_request_raw(object_key, operation, response_expected, &args, &deposits);
+        self.recycle_body(args);
+        id
     }
 
     /// Client: send a request from already-finished argument bytes and
     /// deposit blocks. This is the retry-friendly entry point: the proxy
-    /// finishes its encoder once and can resend the same bytes (deposits
-    /// are reference-counted, so cloning them is cheap) on a replacement
-    /// connection. Returns the request id.
+    /// finishes its encoder once and can resend the same bytes (and the
+    /// same reference-counted blocks) on a replacement connection. Returns
+    /// the request id.
     pub fn send_request_raw(
         &mut self,
         object_key: &[u8],
         operation: &str,
         response_expected: bool,
         args: &[u8],
-        deposits: Vec<ZcBytes>,
+        deposits: &[ZcBytes],
     ) -> OrbResult<u32> {
         self.check_poisoned()?;
         let enabled = self.ctx.telemetry.is_enabled();
@@ -693,37 +832,24 @@ impl GiopConn {
         let request_id = self.alloc_request_id();
         let trace_id = zc_trace::next_trace_id();
         self.last_trace_id = trace_id;
-        // zc-audit: allow(control-plane) — object keys are small identifiers, not payload
-        let mut header = RequestHeader::new(request_id, object_key.to_vec(), operation);
-        header.response_expected = response_expected;
-        if !deposits.is_empty() {
-            header.service_contexts.push(
-                DepositManifest {
-                    block_lengths: deposits.iter().map(|b| b.len() as u64).collect(),
-                }
-                .to_context(),
-            );
-        }
         // Always stamped: the id and send timestamp are cheap to carry, and
         // a receiver with telemetry enabled can then correlate (and derive
         // the wire stage) even when ours is off.
         let sent_at_ns = zc_trace::now_ns();
         let (journey_id, attempt, cause) = self.pending_journey.take().unwrap_or_default();
-        header.service_contexts.push(
-            TraceContext {
+        let contexts = [
+            (!deposits.is_empty()).then_some(ContextOut::Deposits(deposits)),
+            Some(ContextOut::Trace(TraceContext {
                 trace_id,
                 sent_at_ns,
                 journey_id,
                 attempt,
                 cause,
-            }
-            .to_context(),
-        );
-        // Piggyback our receive-side speculation counters so the peer's
-        // deposit sender can degrade/upgrade its zero-copy path.
-        if let Some(health) = self.zc_health_context() {
-            header.service_contexts.push(health);
-        }
+            })),
+            // Piggyback our receive-side speculation counters so the peer's
+            // deposit sender can degrade/upgrade its zero-copy path.
+            self.zc_health_context(),
+        ];
         let dep_bytes: u64 = deposits.iter().map(|b| b.len() as u64).sum();
         // The attempt event joins this send's trace id to its journey.
         // Recorded *before* the write: a send that dies on a closed socket
@@ -738,8 +864,15 @@ impl GiopConn {
                     .record_attempt(self.conn_id, trace_id, c, attempt, journey_id);
             }
         }
-        let mut enc = CdrEncoder::new(self.wire_order());
-        header.marshal(&mut enc)?;
+        let mut enc = self.begin(MessageType::Request);
+        RequestHeaderOut {
+            contexts: &contexts,
+            request_id,
+            response_expected,
+            object_key,
+            operation,
+        }
+        .marshal(&mut enc);
         self.send_message(MessageType::Request, enc, args, deposits)?;
         let tele = &self.ctx.telemetry;
         if enabled {
@@ -794,7 +927,7 @@ impl GiopConn {
             }
         }
         let mut dec = CdrDecoder::new(&body, order);
-        let header = ReplyHeader::demarshal(&mut dec)?;
+        let header = ReplyHeaderRef::decode(&mut dec)?;
         let after_header = dec.position();
         if header.request_id != expect_id {
             // zc-audit: allow(control-plane) — protocol error diagnostic
@@ -803,8 +936,8 @@ impl GiopConn {
                 header.request_id
             )));
         }
-        let manifest = DepositManifest::find_in(&header.service_contexts)?;
-        self.note_peer_health_in(&header.service_contexts);
+        let manifest = header.contexts.deposits;
+        self.note_peer_health_in(header.contexts.health);
         match header.status {
             ReplyStatus::NoException => {
                 // The zc flag is self-describing per message: every
@@ -821,11 +954,7 @@ impl GiopConn {
                     // the reply's trace context) → our arrival, on the
                     // shared in-process trace clock. Unstamped replies
                     // (foreign peers, old format) skip the stage.
-                    let reply_sent_at = TraceContext::find_in(&header.service_contexts)
-                        .ok()
-                        .flatten()
-                        .map(|t| t.sent_at_ns)
-                        .unwrap_or(0);
+                    let reply_sent_at = header.contexts.trace.map_or(0, |t| t.sent_at_ns);
                     if reply_sent_at != 0 && arrival_ns >= reply_sent_at {
                         tele.record_stage(
                             zc_trace::Stage::ClientReplyWire,
@@ -860,8 +989,6 @@ impl GiopConn {
                 })
             }
             ReplyStatus::SystemException => {
-                let mut dec = CdrDecoder::new(&body, order);
-                ReplyHeader::demarshal(&mut dec)?;
                 dec.align(8)?;
                 let ex = SystemException::demarshal(&mut dec)?;
                 let tele = &self.ctx.telemetry;
@@ -879,8 +1006,6 @@ impl GiopConn {
             }
             ReplyStatus::UserException => {
                 // body: repo-id string, then the encoded members
-                let mut dec = CdrDecoder::new(&body, order);
-                ReplyHeader::demarshal(&mut dec)?;
                 dec.align(8)?;
                 let repo_id = dec.read_string()?;
                 // the members blob carries its own byte-order flag (the
@@ -911,16 +1036,17 @@ impl GiopConn {
     /// Server: receive the next **admitted** request. `gate` runs after
     /// the request header and deposit manifest are decoded but *before*
     /// any deposit block is collected, with `(header, announced deposit
-    /// bytes, carries-deposits)`. A refusal is cheap by construction: the
-    /// announced blocks are drained straight off the data path without
-    /// retaining a single pool page, the supplied system exception (e.g.
+    /// bytes, carries-deposits)`; the header borrows from the received
+    /// message. A refusal is cheap by construction: the announced blocks
+    /// are drained straight off the data path without retaining a single
+    /// pool page, the supplied system exception (e.g.
     /// `TRANSIENT` from admission control) answers the request, and the
     /// loop continues with the connection intact. On admission, the gate's
     /// success value (e.g. a queue-slot ticket) is returned alongside the
     /// request so the caller can scope the reservation to the dispatch.
     pub fn recv_request_admitted<T>(
         &mut self,
-        mut gate: impl FnMut(&RequestHeader, u64, bool) -> Result<T, SystemException>,
+        mut gate: impl FnMut(&RequestHeaderRef<'_>, u64, bool) -> Result<T, SystemException>,
     ) -> OrbResult<(IncomingRequest, T)> {
         loop {
             let (msg_type, body, order) = self.recv_message()?;
@@ -932,25 +1058,20 @@ impl GiopConn {
                         0
                     };
                     let mut dec = CdrDecoder::new(&body, order);
-                    let header = RequestHeader::demarshal(&mut dec)?;
+                    let header = RequestHeaderRef::decode(&mut dec)?;
                     let after_header = dec.position();
-                    let manifest = DepositManifest::find_in(&header.service_contexts)?;
-                    // A malformed trace context is ignored, not rejected:
-                    // tracing is advisory and must never fail a request.
-                    let tctx = TraceContext::find_in(&header.service_contexts)
-                        .ok()
-                        .flatten()
-                        .unwrap_or_default();
+                    let manifest = header.contexts.deposits;
+                    // A malformed trace context decodes as absent, not as
+                    // an error: tracing is advisory and must never fail a
+                    // request.
+                    let tctx = header.contexts.trace.unwrap_or_default();
                     let trace_id = tctx.trace_id;
                     self.last_trace_id = trace_id;
-                    self.note_peer_health_in(&header.service_contexts);
+                    self.note_peer_health_in(header.contexts.health);
                     // Self-describing per message: manifest present iff the
                     // sender used descriptors (see `recv_reply`).
                     let zc = manifest.is_some();
-                    let announced: u64 = manifest
-                        .as_ref()
-                        .map(|m| m.block_lengths.iter().sum())
-                        .unwrap_or(0);
+                    let announced = manifest.map_or(0, |m| m.total_bytes());
                     let token = match gate(&header, announced, zc) {
                         Ok(t) => t,
                         Err(ex) => {
@@ -960,7 +1081,7 @@ impl GiopConn {
                             // inline in `body` and simply never parsed.
                             if self.tuning.separate_data {
                                 if let Some(m) = &manifest {
-                                    for &len in &m.block_lengths {
+                                    for len in m.lengths() {
                                         let _ = self.conn.recv_data(len as usize)?;
                                         self.ctx.telemetry.note_wire_rx(len);
                                     }
@@ -1023,10 +1144,17 @@ impl GiopConn {
                         trace_id,
                         deposits.iter().map(|b| b.len() as u64).sum(),
                     );
+                    let object_key = span_in(&body, header.object_key);
+                    let operation = span_in(&body, header.operation.as_bytes());
+                    let (request_id, response_expected) =
+                        (header.request_id, header.response_expected);
                     return Ok((
                         IncomingRequest {
-                            header,
                             body,
+                            request_id,
+                            response_expected,
+                            object_key,
+                            operation,
                             args_offset,
                             deposits,
                             order,
@@ -1044,11 +1172,10 @@ impl GiopConn {
                     // Answer OBJECT_HERE (2 would be forward; 1 = here).
                     let mut dec = CdrDecoder::new(&body, order);
                     let request_id = dec.read_u32()?;
-                    let mut enc = CdrEncoder::new(self.wire_order());
+                    let mut enc = self.begin(MessageType::LocateReply);
                     enc.write_u32(request_id);
                     enc.write_u32(1); // OBJECT_HERE
-                    let body = enc.finish_stream();
-                    self.send_framed(MessageType::LocateReply, &body)?;
+                    self.send_encoded(MessageType::LocateReply, enc, &[])?;
                     continue;
                 }
                 other => {
@@ -1064,33 +1191,30 @@ impl GiopConn {
     /// Server: send a successful reply whose body is `results_enc`.
     pub fn send_reply_ok(&mut self, request_id: u32, results_enc: CdrEncoder) -> OrbResult<()> {
         let (results, deposits) = results_enc.finish();
-        let mut header = ReplyHeader::ok(request_id);
-        if !deposits.is_empty() {
-            header.service_contexts.push(
-                DepositManifest {
-                    block_lengths: deposits.iter().map(|b| b.len() as u64).collect(),
-                }
-                .to_context(),
-            );
-        }
-        if let Some(health) = self.zc_health_context() {
-            header.service_contexts.push(health);
-        }
-        // Echo the request's trace id with our send stamp so the client can
-        // derive the reply-wire stage (symmetric to `send_request_raw`).
-        header.service_contexts.push(
-            TraceContext {
+        let contexts = [
+            (!deposits.is_empty()).then_some(ContextOut::Deposits(&deposits)),
+            self.zc_health_context(),
+            // Echo the request's trace id with our send stamp so the client
+            // can derive the reply-wire stage (symmetric to
+            // `send_request_raw`).
+            Some(ContextOut::Trace(TraceContext {
                 trace_id: self.last_trace_id,
                 sent_at_ns: zc_trace::now_ns(),
                 // Replies do not re-announce the journey: the client owns it.
                 ..Default::default()
-            }
-            .to_context(),
-        );
+            })),
+        ];
         let dep_bytes: u64 = deposits.iter().map(|b| b.len() as u64).sum();
-        let mut enc = CdrEncoder::new(self.wire_order());
-        header.marshal(&mut enc)?;
-        self.send_message(MessageType::Reply, enc, &results, deposits)?;
+        let mut enc = self.begin(MessageType::Reply);
+        ReplyHeaderOut {
+            contexts: &contexts,
+            request_id,
+            status: ReplyStatus::NoException,
+        }
+        .marshal(&mut enc);
+        let sent = self.send_message(MessageType::Reply, enc, &results, &deposits);
+        self.recycle_body(results);
+        sent?;
         self.ctx.telemetry.record(
             TraceLayer::Giop,
             EventKind::ReplySent,
@@ -1103,18 +1227,11 @@ impl GiopConn {
 
     /// Server: send a system-exception reply.
     pub fn send_reply_exception(&mut self, request_id: u32, ex: &SystemException) -> OrbResult<()> {
-        let mut header = ReplyHeader::ok(request_id);
-        header.status = ReplyStatus::SystemException;
-        if let Some(health) = self.zc_health_context() {
-            header.service_contexts.push(health);
-        }
-        let mut enc = CdrEncoder::new(self.wire_order());
-        header.marshal(&mut enc)?;
-        enc.align(8);
-        let mut body_enc = CdrEncoder::new(self.wire_order());
-        ex.marshal(&mut body_enc)?;
-        let payload = body_enc.finish_stream();
-        self.send_message(MessageType::Reply, enc, &payload, Vec::new())?;
+        let mut payload = CdrEncoder::append_to(self.spare_body(), self.wire_order());
+        ex.marshal(&mut payload)?;
+        let (payload, _) = payload.finish();
+        let contexts = [self.zc_health_context()];
+        self.send_reply_payload(request_id, ReplyStatus::SystemException, &contexts, payload)?;
         self.ctx.telemetry.record(
             TraceLayer::Giop,
             EventKind::Error,
@@ -1131,30 +1248,52 @@ impl GiopConn {
         request_id: u32,
         data: &crate::UserExceptionData,
     ) -> OrbResult<()> {
-        let mut header = ReplyHeader::ok(request_id);
-        header.status = ReplyStatus::UserException;
-        let mut enc = CdrEncoder::new(self.wire_order());
-        header.marshal(&mut enc)?;
-        enc.align(8);
-        let mut body_enc = CdrEncoder::new(self.wire_order());
-        body_enc.write_string(&data.repo_id);
+        let mut payload = CdrEncoder::append_to(self.spare_body(), self.wire_order());
+        payload.write_string(&data.repo_id);
         // Members stay in the servant's encoding order; ship that order as
         // a flag so heterogeneous clients decode correctly.
-        body_enc.write_bool(data.order.flag());
-        body_enc.write_octet_seq(&data.body);
-        let payload = body_enc.finish_stream();
-        self.send_message(MessageType::Reply, enc, &payload, Vec::new())
+        payload.write_bool(data.order.flag());
+        payload.write_octet_seq(&data.body);
+        let (payload, _) = payload.finish();
+        self.send_reply_payload(request_id, ReplyStatus::UserException, &[], payload)
+    }
+
+    /// Send a Reply with `status` whose 8-aligned body is `payload`, an
+    /// encoded stream that is recycled afterwards.
+    fn send_reply_payload(
+        &mut self,
+        request_id: u32,
+        status: ReplyStatus,
+        contexts: &[Option<ContextOut<'_>>],
+        payload: Vec<u8>,
+    ) -> OrbResult<()> {
+        let mut enc = self.begin(MessageType::Reply);
+        ReplyHeaderOut {
+            contexts,
+            request_id,
+            status,
+        }
+        .marshal(&mut enc);
+        let sent = self.send_message(MessageType::Reply, enc, &payload, &[]);
+        self.recycle_body(payload);
+        sent
+    }
+
+    /// Send a message with an empty body (best effort).
+    fn send_empty(&mut self, msg_type: MessageType) {
+        let enc = self.begin(msg_type);
+        let _ = self.send_encoded(msg_type, enc, &[]);
     }
 
     /// Either side: orderly shutdown notification (best effort).
     pub fn send_close(&mut self) {
-        let _ = self.send_framed(MessageType::CloseConnection, &[]);
+        self.send_empty(MessageType::CloseConnection);
     }
 
     /// Either side: report an unparseable/oversized message (best effort).
     /// GIOP's answer when there is no request id to attach an exception to.
     pub fn send_message_error(&mut self) {
-        let _ = self.send_framed(MessageType::MessageError, &[]);
+        self.send_empty(MessageType::MessageError);
     }
 
     /// Client: ask whether the peer hosts `object_key` (GIOP
@@ -1165,11 +1304,10 @@ impl GiopConn {
     /// `OBJECT_NOT_EXIST` at invocation time.
     pub fn locate(&mut self, object_key: &[u8]) -> OrbResult<bool> {
         let request_id = self.alloc_request_id();
-        let mut enc = CdrEncoder::new(self.wire_order());
+        let mut enc = self.begin(MessageType::LocateRequest);
         enc.write_u32(request_id);
         enc.write_octet_seq(object_key);
-        let body = enc.finish_stream();
-        self.send_framed(MessageType::LocateRequest, &body)?;
+        self.send_encoded(MessageType::LocateRequest, enc, &[])?;
         let (msg_type, body, order) = self.recv_message()?;
         if msg_type != MessageType::LocateReply {
             // zc-audit: allow(control-plane) — protocol error diagnostic
@@ -1191,10 +1329,10 @@ impl GiopConn {
 
     /// Client: cancel an outstanding request (advisory, per GIOP).
     pub fn send_cancel(&mut self, request_id: u32) -> OrbResult<()> {
-        let mut enc = CdrEncoder::new(self.wire_order());
+        let mut enc = self.begin(MessageType::CancelRequest);
         enc.write_u32(request_id);
-        let body = enc.finish_stream();
-        self.send_framed(MessageType::CancelRequest, &body)
+        self.send_encoded(MessageType::CancelRequest, enc, &[])?;
+        Ok(())
     }
 }
 
@@ -1213,4 +1351,73 @@ impl Drop for GiopConn {
 #[inline]
 fn align_up(n: usize, a: usize) -> usize {
     n.div_ceil(a) * a
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zc_transport::ConnStats;
+
+    /// A transport that accepts every send and has nothing to receive.
+    struct Sink;
+
+    impl Connection for Sink {
+        fn send_control(&mut self, _parts: &[&[u8]]) -> Result<(), TransportError> {
+            Ok(())
+        }
+        fn recv_control(&mut self) -> Result<ZcBytes, TransportError> {
+            Err(TransportError::Closed)
+        }
+        fn send_data(&mut self, _block: &ZcBytes) -> Result<(), TransportError> {
+            Ok(())
+        }
+        fn recv_data(&mut self, _expected_len: usize) -> Result<ZcBytes, TransportError> {
+            Err(TransportError::Closed)
+        }
+        fn is_zero_copy(&self) -> bool {
+            false
+        }
+        fn stats(&self) -> ConnStats {
+            ConnStats::default()
+        }
+        fn peer(&self) -> String {
+            String::new()
+        }
+        fn set_recv_timeout(
+            &mut self,
+            _timeout: Option<std::time::Duration>,
+        ) -> Result<(), TransportError> {
+            Ok(())
+        }
+    }
+
+    fn sink_conn() -> GiopConn {
+        let hello = Handshake::local(false);
+        GiopConn::established(
+            Box::new(Sink),
+            Handshake::negotiate(&hello, &hello),
+            TransportCtx::new(),
+            ConnTuning::default(),
+        )
+    }
+
+    #[test]
+    fn large_buffers_are_freed_not_kept() {
+        let mut conn = sink_conn();
+        conn.recycle_body(Vec::with_capacity(SPARE_BUF_MAX_CAPACITY + 1));
+        conn.recycle_body(Vec::with_capacity(512));
+        assert_eq!(conn.spare_bodies.len(), 1);
+        assert_eq!(conn.spare_bodies[0].capacity(), 512);
+
+        // A message whose header part outgrows the bound (as inline
+        // deposit blocks make it) leaves no large send buffer behind.
+        let mut enc = conn.begin(MessageType::Request);
+        enc.write_raw(&[0u8; SPARE_BUF_MAX_CAPACITY]);
+        conn.send_encoded(MessageType::Request, enc, &[]).unwrap();
+        assert!(conn.send_buf.capacity() <= SPARE_BUF_MAX_CAPACITY);
+
+        let enc = conn.begin(MessageType::Request);
+        conn.send_encoded(MessageType::Request, enc, &[]).unwrap();
+        assert!(conn.send_buf.capacity() > 0, "a small send buffer is kept");
+    }
 }

@@ -308,7 +308,7 @@ impl Orb {
         }
         match bound {
             Some((idx, conn)) => {
-                Ok(ObjectRef::new(ior.clone(), conn)?.with_recovery(self.clone(), targets, idx))
+                ObjectRef::with_recovery(ior.clone(), conn, self.clone(), targets, idx, true)
             }
             None => Err(last_err.expect("group_targets guarantees at least one profile")),
         }
@@ -340,11 +340,9 @@ impl Orb {
             }
         }
         match bound {
-            Some((idx, conn)) => Ok(ObjectRef::new(ior.clone(), conn)?.with_recovery_private(
-                self.clone(),
-                targets,
-                idx,
-            )),
+            Some((idx, conn)) => {
+                ObjectRef::with_recovery(ior.clone(), conn, self.clone(), targets, idx, false)
+            }
             None => Err(last_err.expect("group_targets guarantees at least one profile")),
         }
     }
@@ -415,10 +413,10 @@ impl Orb {
             // (completed = NO) reply. Control-plane objects (reserved
             // `_`-prefix keys, e.g. `_ZcTelemetry`) ride the reserved lane
             // so operators can still poll a saturated server. The ticket
-            // holds the queue slot until the reply is sent (end of this
-            // loop iteration).
-            let (incoming, _ticket) = match gc.recv_request_admitted(|header, announced, bulk| {
-                let control = crate::admission::is_control_plane_key(&header.object_key);
+            // (`_slot`) holds the queue slot until the reply is sent (end
+            // of this loop iteration).
+            let (mut incoming, _slot) = match gc.recv_request_admitted(|header, announced, bulk| {
+                let control = crate::admission::is_control_plane_key(header.object_key);
                 admission.admit(control, announced, bulk).map_err(|reason| {
                     if tele.is_enabled() {
                         let m = tele.metrics();
@@ -461,8 +459,8 @@ impl Orb {
                     break;
                 }
             };
-            let request_id = incoming.header.request_id;
-            let response_expected = incoming.header.response_expected;
+            let request_id = incoming.request_id;
+            let response_expected = incoming.response_expected;
             let trace_id = incoming.trace_id;
             let dispatch_start = tele.is_enabled().then(std::time::Instant::now);
             // Load signals: arrival rate + in-flight gauge around dispatch.
@@ -471,9 +469,10 @@ impl Orb {
 
             // Build the argument decoder over the received body, wired to
             // the deposited blocks when the connection is in ZC mode.
+            let deposits = std::mem::take(&mut incoming.deposits);
             let mut dec = CdrDecoder::new(&incoming.body, incoming.order).with_meter(self.meter());
             if incoming.zc {
-                dec = dec.with_deposits(incoming.deposits);
+                dec = dec.with_deposits(deposits);
             }
             let mut served_span = zc_trace::RequestSpan::disabled();
             let dispatch_outcome = dec
@@ -483,8 +482,8 @@ impl Orb {
                     let enc = gc.body_encoder();
                     let mut sreq = ServerRequest::new(dec, enc).with_span(tele.request_span());
                     let r = self.inner.adapter.dispatch(
-                        &incoming.header.object_key,
-                        &incoming.header.operation,
+                        incoming.object_key(),
+                        incoming.operation(),
                         &mut sreq,
                     );
                     let (enc, ex, _, span) = sreq.finish();

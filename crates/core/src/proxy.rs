@@ -31,18 +31,17 @@ pub(crate) type Target = ((String, u16), Vec<u8>);
 /// replacement connections and consult breakers) plus every dialable
 /// target from the IOR's profile list. For a replicated object group the
 /// list has one entry per replica, in IOR order (index 0 = primary).
-/// `active` is shared by every clone of the reference, so one failover
-/// heals them all (they already share the connection `Arc` being swapped).
-#[derive(Clone)]
+/// Every clone of the reference shares this state, so one failover heals
+/// them all (they already share the connection `Arc` being swapped).
 struct Recovery {
     orb: crate::Orb,
     /// One entry per IIOP profile, in IOR order.
-    targets: Arc<Vec<Target>>,
+    targets: Vec<Target>,
     /// Index of the profile currently in use.
-    active: Arc<AtomicUsize>,
+    active: AtomicUsize,
     /// Consecutive successes on a backup since the last primary probe
     /// (sticky-primary fail-back, see [`RetryPolicy::reprobe_interval`]).
-    backup_streak: Arc<AtomicU32>,
+    backup_streak: AtomicU32,
     /// Whether replacement connections also repair the ORB's shared
     /// connection cache (false for private references).
     cached: bool,
@@ -119,7 +118,10 @@ fn rotate_failover(target: &ObjectRef, r: &Recovery, tele: &Arc<zc_trace::Teleme
             continue;
         }
         // reconnect_shared records dial failures against the replica.
-        if r.orb.reconnect_shared(ep, &target.conn, r.cached).is_ok() {
+        if r.orb
+            .reconnect_shared(ep, &target.inner.conn, r.cached)
+            .is_ok()
+        {
             r.active.store(idx, Ordering::SeqCst);
             r.backup_streak.store(0, Ordering::SeqCst);
             record_failover(idx, tele);
@@ -130,9 +132,14 @@ fn rotate_failover(target: &ObjectRef, r: &Recovery, tele: &Arc<zc_trace::Teleme
 }
 
 /// A client-side reference to a remote object: the IOR plus a (shared)
-/// negotiated connection to its server.
+/// negotiated connection to its server. A cheap handle: clones share one
+/// reference, so starting a request copies nothing.
 #[derive(Clone)]
 pub struct ObjectRef {
+    inner: Arc<RefInner>,
+}
+
+struct RefInner {
     ior: Ior,
     object_key: Vec<u8>,
     conn: Arc<Mutex<GiopConn>>,
@@ -144,80 +151,75 @@ impl ObjectRef {
     /// [`crate::Orb::resolve`]. References built directly (without an
     /// owning ORB) cannot self-heal: failures surface immediately.
     pub fn new(ior: Ior, conn: Arc<Mutex<GiopConn>>) -> OrbResult<ObjectRef> {
+        ObjectRef::build(ior, conn, None)
+    }
+
+    fn build(
+        ior: Ior,
+        conn: Arc<Mutex<GiopConn>>,
+        recovery: Option<Recovery>,
+    ) -> OrbResult<ObjectRef> {
         // zc-audit: allow(control-plane) — object key from the IOR profile, not payload
         let object_key = ior.iiop_profile()?.object_key.clone();
         Ok(ObjectRef {
-            ior,
-            object_key,
-            conn,
-            recovery: None,
+            inner: Arc::new(RefInner {
+                ior,
+                object_key,
+                conn,
+                recovery,
+            }),
         })
     }
 
-    /// Attach recovery state (reconnects repair the shared cache).
-    /// `targets` lists every dialable profile of the IOR in order;
-    /// `active` is the one currently connected.
+    /// A reference with recovery state. `targets` lists every dialable
+    /// profile of the IOR in order; `active` is the one currently
+    /// connected. `cached` says whether reconnects also repair the ORB's
+    /// shared connection cache (false for private references).
     pub(crate) fn with_recovery(
-        mut self,
+        ior: Ior,
+        conn: Arc<Mutex<GiopConn>>,
         orb: crate::Orb,
         targets: Vec<Target>,
         active: usize,
-    ) -> ObjectRef {
+        cached: bool,
+    ) -> OrbResult<ObjectRef> {
         debug_assert!(!targets.is_empty() && active < targets.len());
-        self.recovery = Some(Recovery {
+        let recovery = Recovery {
             orb,
-            targets: Arc::new(targets),
-            active: Arc::new(AtomicUsize::new(active)),
-            backup_streak: Arc::new(AtomicU32::new(0)),
-            cached: true,
-        });
-        self
-    }
-
-    /// Attach recovery state for a private (uncached) connection.
-    pub(crate) fn with_recovery_private(
-        mut self,
-        orb: crate::Orb,
-        targets: Vec<Target>,
-        active: usize,
-    ) -> ObjectRef {
-        debug_assert!(!targets.is_empty() && active < targets.len());
-        self.recovery = Some(Recovery {
-            orb,
-            targets: Arc::new(targets),
-            active: Arc::new(AtomicUsize::new(active)),
-            backup_streak: Arc::new(AtomicU32::new(0)),
-            cached: false,
-        });
-        self
+            targets,
+            active: AtomicUsize::new(active),
+            backup_streak: AtomicU32::new(0),
+            cached,
+        };
+        ObjectRef::build(ior, conn, Some(recovery))
     }
 
     /// The endpoint the reference is currently bound to (for an object
     /// group, the active replica; otherwise the IOR's first profile).
     pub fn active_endpoint(&self) -> OrbResult<(String, u16)> {
-        match &self.recovery {
+        match &self.inner.recovery {
             Some(r) => {
                 let (endpoint, _) = r.active_target();
                 // zc-audit: allow(cheap-clone) — endpoint identity (host string + port), not payload
                 Ok(endpoint.clone())
             }
-            None => Ok(self.ior.iiop_profile()?.endpoint()),
+            None => Ok(self.inner.ior.iiop_profile()?.endpoint()),
         }
     }
 
     /// The reference's IOR.
     pub fn ior(&self) -> &Ior {
-        &self.ior
+        &self.inner.ior
     }
 
     /// Whether this reference's connection negotiated the zero-copy path.
     pub fn is_zero_copy(&self) -> bool {
-        self.conn.lock().zc_active()
+        self.inner.conn.lock().zc_active()
     }
 
     /// Begin a static invocation of `operation`.
-    pub fn request(&self, operation: &str) -> StaticRequest {
-        let mut conn = self.conn.lock();
+    pub fn request<'op>(&self, operation: &'op str) -> StaticRequest<'op> {
+        let mut conn = self.inner.conn.lock();
         let span = conn.telemetry().request_span();
         let enc = conn.body_encoder();
         // body_encoder just decided whether this message is a degraded
@@ -226,9 +228,9 @@ impl ObjectRef {
         let probe = conn.take_last_probe();
         drop(conn);
         StaticRequest {
-            // zc-audit: allow(cheap-clone) — ObjectRef is an Arc handle plus small IOR metadata
+            // zc-audit: allow(cheap-clone) — ObjectRef is one Arc handle
             target: self.clone(),
-            operation: operation.to_string(),
+            operation,
             enc,
             err: None,
             idempotent: false,
@@ -242,12 +244,12 @@ impl ObjectRef {
         // The conn mutex *is* the wire serializer: locate must round-trip
         // under it, and it is a leaf lock (nothing else is taken while held).
         // zc-audit: allow(lock-held) — locate round-trips under the wire-serializing leaf lock
-        self.conn.lock().locate(&self.object_key)
+        self.inner.conn.lock().locate(&self.inner.object_key)
     }
 
     /// Transport statistics of the underlying connection.
     pub fn transport_stats(&self) -> zc_transport::ConnStats {
-        self.conn.lock().transport_stats()
+        self.inner.conn.lock().transport_stats()
     }
 }
 
@@ -256,16 +258,16 @@ impl std::fmt::Debug for ObjectRef {
         write!(
             f,
             "ObjectRef({} @ {:?})",
-            self.ior.type_id,
-            String::from_utf8_lossy(&self.object_key)
+            self.inner.ior.type_id,
+            String::from_utf8_lossy(&self.inner.object_key)
         )
     }
 }
 
 /// A static method invocation under construction (MICO's `StaticRequest`).
-pub struct StaticRequest {
+pub struct StaticRequest<'op> {
     target: ObjectRef,
-    operation: String,
+    operation: &'op str,
     enc: CdrEncoder,
     err: Option<OrbError>,
     idempotent: bool,
@@ -277,10 +279,10 @@ pub struct StaticRequest {
     span: zc_trace::RequestSpan,
 }
 
-impl StaticRequest {
+impl StaticRequest<'_> {
     /// Marshal the next `in` parameter. Errors are deferred to
     /// [`StaticRequest::invoke`] so calls chain fluently.
-    pub fn arg<T: CdrMarshal>(mut self, v: &T) -> OrbResult<StaticRequest> {
+    pub fn arg<T: CdrMarshal>(mut self, v: &T) -> OrbResult<Self> {
         if self.err.is_none() {
             let t0 = self.span.begin();
             if let Err(e) = v.marshal(&mut self.enc) {
@@ -295,7 +297,7 @@ impl StaticRequest {
     /// once. Under CORBA's at-most-once rule, only idempotent operations
     /// may be retried after the request was (possibly) dispatched — a
     /// send-side failure is provably undispatched and retries regardless.
-    pub fn idempotent(mut self) -> StaticRequest {
+    pub fn idempotent(mut self) -> Self {
         self.idempotent = true;
         self
     }
@@ -341,23 +343,24 @@ impl StaticRequest {
         let finish_t0 = span.begin();
         let (args, deposits) = enc.finish();
         span.end(zc_trace::Stage::ClientMarshal, finish_t0);
-        let policy = match &target.recovery {
+        let policy = match &target.inner.recovery {
             Some(r) => *r.orb.retry_policy(),
             None => RetryPolicy::none(),
         };
         let salt = target
+            .inner
             .recovery
             .as_ref()
             .map(|r| endpoint_salt(&r.active_target().0))
             .unwrap_or(0);
         let (expected_order, tele) = {
-            let conn = target.conn.lock();
+            let conn = target.inner.conn.lock();
             (conn.wire_order(), Arc::clone(conn.telemetry()))
         };
         let mut attempt: u32 = 0;
         loop {
             attempt += 1;
-            if let Some(r) = &target.recovery {
+            if let Some(r) = &target.inner.recovery {
                 if let Err(e) = r.orb.breaker_check(&r.active_target().0) {
                     // Fail-fast on the active profile — but for an object
                     // group, rotate to the next live replica instead of
@@ -375,7 +378,7 @@ impl StaticRequest {
             // is possible). The guard IS dropped before try_recover runs;
             // the analysis is branch-insensitive about that.
             // zc-audit: allow(lock-held) — round-trip under the wire-serializing leaf lock
-            let mut conn = target.conn.lock();
+            let mut conn = target.inner.conn.lock();
             // A connection poisoned by an earlier reply timeout carries no
             // further requests — and nothing has been sent on *this*
             // attempt, so any operation (idempotent or not) may move to a
@@ -406,21 +409,14 @@ impl StaticRequest {
             // The wire object key follows the active profile: replicas of
             // an object group may register the same object under
             // different keys.
-            let wire_key: &[u8] = match &target.recovery {
+            let wire_key: &[u8] = match &target.inner.recovery {
                 Some(r) => &r.active_target().1,
-                None => &target.object_key,
+                None => &target.inner.object_key,
             };
             // Stamp this attempt's journey coordinates (0-based ordinal)
             // into the next request's ZC_TRACE context.
             conn.set_journey(journey_id, attempt - 1, cause as u8);
-            let id = match conn.send_request_raw(
-                wire_key,
-                &operation,
-                true,
-                &args,
-                // zc-audit: allow(cheap-clone) — deposit descriptors (pointers + lengths), not payload bytes
-                deposits.clone(),
-            ) {
+            let id = match conn.send_request_raw(wire_key, operation, true, &args, &deposits) {
                 Ok(id) => {
                     // The trace id now exists: commit the client-side
                     // marshal leg (commit clears its marks, so a retried
@@ -459,9 +455,11 @@ impl StaticRequest {
                         );
                     }
                     let meter = conn.meter();
+                    // Hand the argument buffer back for the next request.
+                    conn.recycle_body(args);
                     drop(conn);
-                    if let Some(r) = &target.recovery {
-                        r.note_success_and_maybe_reprobe(&target.conn, &policy, &tele);
+                    if let Some(r) = &target.inner.recovery {
+                        r.note_success_and_maybe_reprobe(&target.inner.conn, &policy, &tele);
                     }
                     return Ok(Reply { incoming, meter });
                 }
@@ -472,10 +470,10 @@ impl StaticRequest {
                     // now. Quarantine the connection so the next resolve
                     // dials fresh.
                     drop(conn);
-                    if let Some(r) = &target.recovery {
+                    if let Some(r) = &target.inner.recovery {
                         let endpoint = &r.active_target().0;
                         r.orb.note_endpoint_failure(endpoint);
-                        r.orb.quarantine(endpoint, &target.conn);
+                        r.orb.quarantine(endpoint, &target.inner.conn);
                     }
                     return Err(e);
                 }
@@ -497,7 +495,7 @@ impl StaticRequest {
                         if let OrbError::System(ex) = &e {
                             if crate::admission::is_shed(ex) {
                                 drop(conn);
-                                if let Some(r) = &target.recovery {
+                                if let Some(r) = &target.inner.recovery {
                                     r.orb.note_endpoint_failure(&r.active_target().0);
                                     if attempt < policy.max_attempts
                                         && rotate_failover(&target, r, &tele)
@@ -519,7 +517,7 @@ impl StaticRequest {
                             }
                         }
                         drop(conn);
-                        if let Some(r) = &target.recovery {
+                        if let Some(r) = &target.inner.recovery {
                             r.orb.note_endpoint_success(&r.active_target().0);
                         }
                         return Err(e);
@@ -539,7 +537,7 @@ impl StaticRequest {
                         }
                     }
                     if !idempotent {
-                        if let Some(r) = &target.recovery {
+                        if let Some(r) = &target.inner.recovery {
                             r.orb.note_endpoint_failure(&r.active_target().0);
                         }
                     }
@@ -576,12 +574,12 @@ impl StaticRequest {
             return Err(e);
         }
         // zc-audit: allow(lock-held) — oneway send under the wire-serializing leaf lock; no reply is awaited
-        let mut conn = target.conn.lock();
-        let wire_key: &[u8] = match &target.recovery {
+        let mut conn = target.inner.conn.lock();
+        let wire_key: &[u8] = match &target.inner.recovery {
             Some(r) => &r.active_target().1,
-            None => &target.object_key,
+            None => &target.inner.object_key,
         };
-        conn.send_request(wire_key, &operation, false, enc)?;
+        conn.send_request(wire_key, operation, false, enc)?;
         Ok(())
     }
 }
@@ -609,7 +607,7 @@ fn try_recover(
     attempt: u32,
     tele: &Arc<zc_trace::Telemetry>,
 ) -> Option<zc_trace::JourneyCause> {
-    let r = target.recovery.as_ref()?;
+    let r = target.inner.recovery.as_ref()?;
     // Note: a failed send on a stale cached connection is not breaker
     // evidence — the dial below tells the truth about the endpoint
     // (reconnect_shared records its own failures).
@@ -619,7 +617,7 @@ fn try_recover(
     std::thread::sleep(policy.backoff(attempt, salt));
     let cause = if r
         .orb
-        .reconnect_shared(&r.active_target().0, &target.conn, r.cached)
+        .reconnect_shared(&r.active_target().0, &target.inner.conn, r.cached)
         .is_ok()
     {
         zc_trace::JourneyCause::Retry
@@ -637,7 +635,7 @@ fn try_recover(
     tele.record(
         TraceLayer::Orb,
         EventKind::Retry,
-        target.conn.lock().trace_conn_id(),
+        target.inner.conn.lock().trace_conn_id(),
         0,
         attempt as u64,
     );
@@ -686,7 +684,7 @@ impl Reply {
 
 /// Sequential access to a reply's out-values.
 pub struct ReplyResults {
-    body: Vec<u8>,
+    body: ZcBytes,
     offset: usize,
     slots: Vec<Option<ZcBytes>>,
     order: zc_cdr::ByteOrder,

@@ -35,6 +35,20 @@ impl Servant for Mirror {
     }
 }
 
+/// Each frame of a fragmented GIOP message as one owned buffer (header
+/// then body), ready to be mutated like a hostile peer would.
+fn fragment_frames(
+    version: zc_giop::GiopVersion,
+    order: zc_cdr::ByteOrder,
+    msg_type: zc_giop::MessageType,
+    body: &[u8],
+    max_body: usize,
+) -> Vec<Vec<u8>> {
+    zc_giop::fragments(version, order, msg_type, [body, &[]], max_body)
+        .map(|(header, [a, b])| [&header[..], a, b].concat())
+        .collect()
+}
+
 fn fixture(cfg: SimConfig, zc: bool) -> (zc_orb::ObjectRef, zc_orb::ServerHandle, Orb, SimNetwork) {
     let net = SimNetwork::new(cfg);
     let server_orb = Orb::builder().sim(net.clone()).zc(zc).build();
@@ -105,7 +119,7 @@ proptest! {
         {
             let mut raw = net.connect(server.port(), TransportCtx::new()).unwrap();
             for f in &frames {
-                if raw.send_control(f).is_err() {
+                if raw.send_control(&[f.as_slice()]).is_err() {
                     break;
                 }
             }
@@ -144,7 +158,7 @@ proptest! {
             let mut raw = net.connect(server.port(), TransportCtx::new()).unwrap();
             // Complete a genuine handshake so the mutated frames reach the
             // GIOP decoders rather than dying at the handshake gate.
-            if raw.send_control(&Handshake::local(true).encode()).is_ok()
+            if raw.send_control(&[Handshake::local(true).encode().as_slice()]).is_ok()
                 && raw.recv_control().is_ok()
             {
                 let order = ByteOrder::native();
@@ -154,7 +168,7 @@ proptest! {
                 enc.align(8);
                 enc.write_raw(&payload);
                 let body = enc.finish_stream();
-                let mut frames = zc_giop::fragment_frames(
+                let mut frames = fragment_frames(
                     GiopVersion::V1_2, order, MessageType::Request, &body, 256);
                 let total: usize = frames.iter().map(Vec::len).sum();
                 for &(idx, xor) in &flips {
@@ -174,7 +188,7 @@ proptest! {
                     frames[fi].truncate(keep);
                 }
                 for f in &frames {
-                    if raw.send_control(f).is_err() {
+                    if raw.send_control(&[f.as_slice()]).is_err() {
                         break;
                     }
                 }

@@ -6,9 +6,9 @@
 
 use std::sync::Arc;
 
-use zc_buffers::{CopyLayer, CopyMeter};
+use zc_buffers::{CopyLayer, CopyMeter, PagePool};
 use zc_cdr::{CdrDecoder, CdrEncoder, CdrMarshal, CdrResult, TypeId, ZcOctetSeq};
-use zc_giop::Handshake;
+use zc_giop::{GiopHeader, GiopVersion, Handshake, MessageType};
 use zc_orb::{ObjectAdapterExt, Orb, OrbResult, Servant, ServerRequest};
 use zc_transport::{SimConfig, SimNetwork, TransportCtx};
 
@@ -158,7 +158,7 @@ fn garbage_handshake_does_not_kill_the_server() {
         &[0xFFu8; 64][..],
     ] {
         let mut conn = net.connect(server.port(), TransportCtx::new()).unwrap();
-        let _ = conn.send_control(garbage);
+        let _ = conn.send_control(&[garbage]);
         // server either drops us or never answers; drop and move on
         drop(conn);
     }
@@ -172,9 +172,10 @@ fn garbage_handshake_does_not_kill_the_server() {
     // Valid handshake followed by garbled GIOP.
     {
         let mut conn = net.connect(server.port(), TransportCtx::new()).unwrap();
-        conn.send_control(&Handshake::local(true).encode()).unwrap();
+        conn.send_control(&[Handshake::local(true).encode().as_slice()])
+            .unwrap();
         let _server_hello = conn.recv_control().unwrap();
-        conn.send_control(b"NOPE").unwrap();
+        conn.send_control(&[b"NOPE".as_slice()]).unwrap();
         drop(conn);
     }
 
@@ -202,7 +203,8 @@ fn truncated_giop_request_is_survivable() {
     let (obj, server, _client, net) = fixture(Arc::clone(&meter));
     {
         let mut conn = net.connect(server.port(), TransportCtx::new()).unwrap();
-        conn.send_control(&Handshake::local(true).encode()).unwrap();
+        conn.send_control(&[Handshake::local(true).encode().as_slice()])
+            .unwrap();
         let _hello = conn.recv_control().unwrap();
         // a GIOP header announcing a body that never matches the frame
         let hdr = zc_giop::GiopHeader::new(
@@ -211,7 +213,7 @@ fn truncated_giop_request_is_survivable() {
             zc_giop::MessageType::Request,
             999, // lies: no body follows
         );
-        conn.send_control(&hdr.encode()).unwrap();
+        conn.send_control(&[hdr.encode().as_slice()]).unwrap();
         drop(conn);
     }
     // healthy client unaffected
@@ -230,6 +232,70 @@ fn truncated_giop_request_is_survivable() {
         .result()
         .unwrap();
     assert_eq!(back.label, "STILL ALIVE");
+}
+
+#[test]
+fn long_train_of_empty_fragments_holds_no_buffer_per_fragment() {
+    // A hostile peer opens a fragmented Request and streams empty
+    // continuations. Reassembly must hold body bytes, not one receive
+    // buffer per frame: the server's pool recycles each frame's pages
+    // instead of allocating fresh ones for the whole train.
+    const FRAGMENTS: u32 = 4096;
+    let meter = CopyMeter::new_shared();
+    let net = SimNetwork::new(SimConfig::zero_copy());
+    let pool = PagePool::default_for_orb();
+    let server_orb = Orb::builder().sim(net.clone()).pool(pool.clone()).build();
+    server_orb.adapter().register("sink", Arc::new(FrameSink));
+    let server = server_orb.serve(0).unwrap();
+    {
+        let mut conn = net.connect(server.port(), TransportCtx::new()).unwrap();
+        conn.send_control(&[Handshake::local(true).encode().as_slice()])
+            .unwrap();
+        let _hello = conn.recv_control().unwrap();
+        let order = zc_cdr::ByteOrder::native();
+        let frame = |msg_type, body: &[u8], more| {
+            let mut hdr = GiopHeader::new(GiopVersion::V1_2, order, msg_type, body.len() as u32);
+            hdr.flags.more_fragments = more;
+            hdr.encode()
+        };
+        let first = [0u8; 8];
+        conn.send_control(&[&frame(MessageType::Request, &first, true), &first])
+            .unwrap();
+        for i in 0..FRAGMENTS {
+            let more = i + 1 < FRAGMENTS;
+            conn.send_control(&[&frame(MessageType::Fragment, &[], more)])
+                .unwrap();
+        }
+        // The joined body is no valid Request: the server answers with a
+        // MessageError or hangs up, either way after the whole train.
+        let _ = conn.recv_control();
+    }
+    let fresh = pool.stats().fresh_allocations;
+    assert!(
+        fresh < 64,
+        "{fresh} fresh pool buffers for a train of {FRAGMENTS} empty fragments"
+    );
+
+    // The server still serves well-formed clients.
+    let client = Orb::builder().sim(net.clone()).meter(meter).build();
+    let obj = client
+        .resolve(&server.ior_for("sink", "IDL:rb/FrameSink:1.0").unwrap())
+        .unwrap();
+    let frame = TaggedFrame {
+        stream_id: 3,
+        pts: 3,
+        pixels: ZcOctetSeq::with_length(16),
+        label: "after".into(),
+    };
+    let back: TaggedFrame = obj
+        .request("swap")
+        .arg(&frame)
+        .unwrap()
+        .invoke()
+        .unwrap()
+        .result()
+        .unwrap();
+    assert_eq!(back.label, "AFTER");
 }
 
 #[test]

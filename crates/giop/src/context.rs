@@ -1,7 +1,16 @@
 //! GIOP service contexts, including the zcorba deposit manifest.
+//!
+//! Two representations live here. The owned one ([`ServiceContext`] lists
+//! and the `to_context`/`from_context` pairs) keeps any context, known or
+//! not, and serves tools and tests. The connection's per-message path uses
+//! the in-place one: [`ContextOut`] encodes a zcorba context straight into
+//! the message buffer, and [`KnownContexts`] decodes the ones we understand
+//! straight into typed fields while borrowing from the received message,
+//! skipping unknown ids. Both produce and accept the same bytes.
 
+use zc_buffers::ZcBytes;
 use zc_cdr::wire::zc_vendor_id;
-use zc_cdr::{CdrDecoder, CdrEncoder, CdrResult};
+use zc_cdr::{endian, ByteOrder, CdrDecoder, CdrEncoder, CdrError, CdrResult};
 
 /// Service-context id for the zcorba deposit manifest. Built from the
 /// shared `ZC_TAG` ("ZC") so we stay inside the OMG "vendor" id space.
@@ -92,15 +101,9 @@ impl DepositManifest {
 
     /// Encode into a service context.
     pub fn to_context(&self) -> ServiceContext {
-        let mut enc = CdrEncoder::native();
-        enc.write_octet(enc.order().flag() as u8); // encapsulation-style flag
-        enc.write_u32(self.block_lengths.len() as u32);
-        for &len in &self.block_lengths {
-            enc.write_u64(len);
-        }
         ServiceContext {
             id: SVC_CTX_DEPOSIT,
-            data: enc.finish_stream(),
+            data: encapsulation(|e| write_manifest(e, self.block_lengths.iter().copied())),
         }
     }
 
@@ -110,20 +113,10 @@ impl DepositManifest {
         if ctx.id != SVC_CTX_DEPOSIT {
             return Ok(None);
         }
-        let flag = *ctx
-            .data
-            .first()
-            .ok_or(zc_cdr::CdrError::OutOfBounds { need: 1, have: 0 })?;
-        let order = zc_cdr::ByteOrder::from_flag(flag & 1 == 1);
-        let mut dec = CdrDecoder::new(&ctx.data, order);
-        dec.read_octet()?; // flag
-        let count = dec.read_u32()?;
-        let mut block_lengths =
-            Vec::with_capacity(zc_buffers::bounded_capacity(count as u64, 1024));
-        for _ in 0..count {
-            block_lengths.push(dec.read_u64()?);
-        }
-        Ok(Some(DepositManifest { block_lengths }))
+        let view = ManifestView::decode(&ctx.data)?;
+        Ok(Some(DepositManifest {
+            block_lengths: view.lengths().collect(),
+        }))
     }
 
     /// Scan a context list for a manifest.
@@ -166,17 +159,18 @@ pub struct TraceContext {
 impl TraceContext {
     /// Encode into a service context.
     pub fn to_context(&self) -> ServiceContext {
-        let mut enc = CdrEncoder::native();
-        enc.write_octet(enc.order().flag() as u8); // encapsulation-style flag
+        ServiceContext {
+            id: SVC_CTX_TRACE,
+            data: encapsulation(|e| self.write_fields(e)),
+        }
+    }
+
+    fn write_fields(&self, enc: &mut CdrEncoder) {
         enc.write_u64(self.trace_id);
         enc.write_u64(self.sent_at_ns);
         enc.write_u64(self.journey_id);
         // Attempt ordinal and cause share one trailing word.
         enc.write_u64(((self.attempt as u64) << 8) | self.cause as u64);
-        ServiceContext {
-            id: SVC_CTX_TRACE,
-            data: enc.finish_stream(),
-        }
     }
 
     /// Decode from a service context previously produced by
@@ -189,24 +183,23 @@ impl TraceContext {
         if ctx.id != SVC_CTX_TRACE {
             return Ok(None);
         }
-        let flag = *ctx
-            .data
-            .first()
-            .ok_or(zc_cdr::CdrError::OutOfBounds { need: 1, have: 0 })?;
-        let order = zc_cdr::ByteOrder::from_flag(flag & 1 == 1);
-        let mut dec = CdrDecoder::new(&ctx.data, order);
-        dec.read_octet()?; // flag
+        TraceContext::decode(&ctx.data).map(Some)
+    }
+
+    /// Decode the context data (the encapsulation, flag octet first).
+    pub fn decode(data: &[u8]) -> CdrResult<TraceContext> {
+        let mut dec = encapsulation_decoder(data)?;
         let trace_id = dec.read_u64()?;
         let sent_at_ns = dec.read_u64().unwrap_or_default();
         let journey_id = dec.read_u64().unwrap_or_default();
         let attempt_cause = dec.read_u64().unwrap_or_default();
-        Ok(Some(TraceContext {
+        Ok(TraceContext {
             trace_id,
             sent_at_ns,
             journey_id,
             attempt: (attempt_cause >> 8) as u32,
             cause: attempt_cause as u8,
-        }))
+        })
     }
 
     /// Scan a context list for a trace context.
@@ -236,14 +229,15 @@ pub struct ZcHealthContext {
 impl ZcHealthContext {
     /// Encode into a service context.
     pub fn to_context(&self) -> ServiceContext {
-        let mut enc = CdrEncoder::native();
-        enc.write_octet(enc.order().flag() as u8); // encapsulation-style flag
-        enc.write_u64(self.spec_hits);
-        enc.write_u64(self.spec_misses);
         ServiceContext {
             id: SVC_CTX_ZC_HEALTH,
-            data: enc.finish_stream(),
+            data: encapsulation(|e| self.write_fields(e)),
         }
+    }
+
+    fn write_fields(&self, enc: &mut CdrEncoder) {
+        enc.write_u64(self.spec_hits);
+        enc.write_u64(self.spec_misses);
     }
 
     /// Decode from a service context previously produced by
@@ -252,19 +246,18 @@ impl ZcHealthContext {
         if ctx.id != SVC_CTX_ZC_HEALTH {
             return Ok(None);
         }
-        let flag = *ctx
-            .data
-            .first()
-            .ok_or(zc_cdr::CdrError::OutOfBounds { need: 1, have: 0 })?;
-        let order = zc_cdr::ByteOrder::from_flag(flag & 1 == 1);
-        let mut dec = CdrDecoder::new(&ctx.data, order);
-        dec.read_octet()?; // flag
+        ZcHealthContext::decode(&ctx.data).map(Some)
+    }
+
+    /// Decode the context data (the encapsulation, flag octet first).
+    pub fn decode(data: &[u8]) -> CdrResult<ZcHealthContext> {
+        let mut dec = encapsulation_decoder(data)?;
         let spec_hits = dec.read_u64()?;
         let spec_misses = dec.read_u64()?;
-        Ok(Some(ZcHealthContext {
+        Ok(ZcHealthContext {
             spec_hits,
             spec_misses,
-        }))
+        })
     }
 
     /// Scan a context list for a health report.
@@ -276,10 +269,176 @@ impl ZcHealthContext {
     }
 }
 
+/// Encode a zcorba context's data the way every zcorba context travels: a
+/// native-order encapsulation, byte-order flag octet first.
+fn encapsulation(f: impl FnOnce(&mut CdrEncoder)) -> Vec<u8> {
+    let mut enc = CdrEncoder::native();
+    enc.write_octet(enc.order().flag() as u8);
+    f(&mut enc);
+    enc.finish_stream()
+}
+
+/// A decoder over an encapsulation's data, positioned after its flag
+/// octet and reading in the order the flag announces.
+fn encapsulation_decoder(data: &[u8]) -> CdrResult<CdrDecoder<'_>> {
+    let flag = *data
+        .first()
+        .ok_or(CdrError::OutOfBounds { need: 1, have: 0 })?;
+    let mut dec = CdrDecoder::new(data, ByteOrder::from_flag(flag & 1 == 1));
+    dec.read_octet()?; // flag
+    Ok(dec)
+}
+
+/// The manifest's fields: a ulong count, then one ulonglong per block.
+fn write_manifest(enc: &mut CdrEncoder, lengths: impl ExactSizeIterator<Item = u64>) {
+    enc.write_u32(lengths.len() as u32);
+    for len in lengths {
+        enc.write_u64(len);
+    }
+}
+
+/// A zcorba service context to encode in place into a Request or Reply
+/// header (see [`crate::RequestHeaderOut`]). It borrows what it announces,
+/// so building one allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub enum ContextOut<'a> {
+    /// A deposit manifest announcing the lengths of these blocks.
+    Deposits(&'a [ZcBytes]),
+    /// A trace context.
+    Trace(TraceContext),
+    /// A zero-copy health report.
+    Health(ZcHealthContext),
+}
+
+impl ContextOut<'_> {
+    /// The service-context id this context travels under.
+    fn id(&self) -> u32 {
+        match self {
+            ContextOut::Deposits(_) => SVC_CTX_DEPOSIT,
+            ContextOut::Trace(_) => SVC_CTX_TRACE,
+            ContextOut::Health(_) => SVC_CTX_ZC_HEALTH,
+        }
+    }
+
+    /// Encode one list entry: the id, then the data as a native-order
+    /// encapsulation written straight into `enc`. The bytes equal those
+    /// of the matching `to_context()` entry.
+    fn marshal(&self, enc: &mut CdrEncoder) {
+        enc.write_u32(self.id());
+        enc.write_encapsulation_in(ByteOrder::native(), |e| match self {
+            ContextOut::Deposits(blocks) => {
+                write_manifest(e, blocks.iter().map(|b| b.len() as u64));
+            }
+            ContextOut::Trace(t) => t.write_fields(e),
+            ContextOut::Health(h) => h.write_fields(e),
+        });
+    }
+}
+
+/// Encode a service-context list from the contexts present in `list`, in
+/// order: the count, then each entry.
+pub(crate) fn write_contexts(list: &[Option<ContextOut<'_>>], enc: &mut CdrEncoder) {
+    enc.write_u32(list.iter().flatten().count() as u32);
+    for ctx in list.iter().flatten() {
+        ctx.marshal(enc);
+    }
+}
+
+/// A deposit manifest read in place: the block lengths stay in the
+/// received bytes and are decoded as they are iterated.
+#[derive(Debug, Clone, Copy)]
+pub struct ManifestView<'a> {
+    /// The lengths' bytes, `8 × count` of them.
+    lengths: &'a [u8],
+    order: ByteOrder,
+}
+
+impl<'a> ManifestView<'a> {
+    /// Decode the context data (the encapsulation, flag octet first). The
+    /// announced count must fit in the bytes present, so every length is
+    /// checked here and iterating cannot fail later.
+    pub fn decode(data: &'a [u8]) -> CdrResult<ManifestView<'a>> {
+        let mut dec = encapsulation_decoder(data)?;
+        let count = dec.read_u32()? as usize;
+        if count > 0 {
+            dec.align(8)?;
+        }
+        let need = count
+            .checked_mul(8)
+            .ok_or(CdrError::LengthOverflow(count as u64))?;
+        let lengths = dec.read_raw(need)?;
+        Ok(ManifestView {
+            lengths,
+            order: dec.order(),
+        })
+    }
+
+    /// Number of blocks announced.
+    pub fn block_count(&self) -> usize {
+        self.lengths.len() / 8
+    }
+
+    /// The announced block lengths, in descriptor-index order.
+    pub fn lengths(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        let order = self.order;
+        self.lengths
+            .chunks_exact(8)
+            .map(move |b| endian::read_u64(order, b))
+    }
+
+    /// Total payload bytes announced (saturating: the lengths are wire data).
+    pub fn total_bytes(&self) -> u64 {
+        self.lengths().fold(0, u64::saturating_add)
+    }
+}
+
+/// The zcorba contexts of one received Request or Reply header, decoded
+/// in place. Unknown ids are skipped, as standard receivers do. When an id
+/// repeats, the first entry wins, as with [`ServiceContext::find`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KnownContexts<'a> {
+    /// The deposit manifest, if the sender used descriptors.
+    pub deposits: Option<ManifestView<'a>>,
+    /// The trace context. A malformed one reads as absent: tracing is
+    /// advisory and must never fail a message.
+    pub trace: Option<TraceContext>,
+    /// The peer's zero-copy health report, likewise advisory.
+    pub health: Option<ZcHealthContext>,
+}
+
+impl<'a> KnownContexts<'a> {
+    /// Decode a service-context list, borrowing from the stream. A
+    /// malformed manifest is an error; the count sizes no allocation, since
+    /// every entry must be present in the stream.
+    pub fn decode(dec: &mut CdrDecoder<'a>) -> CdrResult<KnownContexts<'a>> {
+        let count = dec.read_u32()?;
+        let mut out = KnownContexts::default();
+        let (mut seen_trace, mut seen_health) = (false, false);
+        for _ in 0..count {
+            let id = dec.read_u32()?;
+            let data = dec.read_octet_seq_borrowed()?;
+            match id {
+                SVC_CTX_DEPOSIT if out.deposits.is_none() => {
+                    out.deposits = Some(ManifestView::decode(data)?);
+                }
+                SVC_CTX_TRACE if !seen_trace => {
+                    seen_trace = true;
+                    out.trace = TraceContext::decode(data).ok();
+                }
+                SVC_CTX_ZC_HEALTH if !seen_health => {
+                    seen_health = true;
+                    out.health = ZcHealthContext::decode(data).ok();
+                }
+                _ => {}
+            }
+        }
+        Ok(out)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zc_cdr::ByteOrder;
 
     #[test]
     fn context_list_roundtrip() {
@@ -499,6 +658,108 @@ mod tests {
         ];
         assert_eq!(ZcHealthContext::find_in(&list).unwrap().unwrap(), h);
         assert_eq!(ZcHealthContext::find_in(&list[..1]).unwrap(), None);
+    }
+
+    #[test]
+    fn in_place_contexts_match_owned_encoding() {
+        let blocks = [
+            ZcBytes::zeroed(4096),
+            ZcBytes::zeroed(0),
+            ZcBytes::zeroed(77),
+        ];
+        let t = TraceContext {
+            trace_id: 5,
+            sent_at_ns: 6,
+            journey_id: 7,
+            attempt: 8,
+            cause: 1,
+        };
+        let h = ZcHealthContext {
+            spec_hits: 3,
+            spec_misses: 4,
+        };
+        let owned = vec![
+            DepositManifest {
+                block_lengths: vec![4096, 0, 77],
+            }
+            .to_context(),
+            t.to_context(),
+            h.to_context(),
+        ];
+        for order in [ByteOrder::Big, ByteOrder::Little] {
+            let mut want = CdrEncoder::new(order);
+            ServiceContext::marshal_list(&owned, &mut want).unwrap();
+            let mut got = CdrEncoder::new(order);
+            write_contexts(
+                &[
+                    Some(ContextOut::Deposits(&blocks)),
+                    None,
+                    Some(ContextOut::Trace(t)),
+                    Some(ContextOut::Health(h)),
+                ],
+                &mut got,
+            );
+            assert_eq!(got.as_slice(), want.as_slice());
+
+            let bytes = got.finish_stream();
+            let mut dec = CdrDecoder::new(&bytes, order);
+            let known = KnownContexts::decode(&mut dec).unwrap();
+            assert_eq!(dec.remaining(), 0);
+            let m = known.deposits.unwrap();
+            assert_eq!(m.lengths().collect::<Vec<_>>(), vec![4096, 0, 77]);
+            assert_eq!(m.block_count(), 3);
+            assert_eq!(m.total_bytes(), 4096 + 77);
+            assert_eq!(known.trace, Some(t));
+            assert_eq!(known.health, Some(h));
+        }
+    }
+
+    #[test]
+    fn known_contexts_skip_unknown_ids_and_tolerate_bad_advisories() {
+        let mut bad_trace = TraceContext::default().to_context();
+        bad_trace.data.truncate(4);
+        let list = vec![
+            ServiceContext {
+                id: 0x4F4D_0001,
+                data: vec![9; 13],
+            },
+            bad_trace,
+            ZcHealthContext {
+                spec_hits: 1,
+                spec_misses: 2,
+            }
+            .to_context(),
+        ];
+        let mut enc = CdrEncoder::new(ByteOrder::Big);
+        ServiceContext::marshal_list(&list, &mut enc).unwrap();
+        enc.write_u32(0xFEED);
+        let bytes = enc.finish_stream();
+        let mut dec = CdrDecoder::new(&bytes, ByteOrder::Big);
+        let known = KnownContexts::decode(&mut dec).unwrap();
+        assert!(known.deposits.is_none());
+        assert_eq!(
+            known.trace, None,
+            "a malformed trace context reads as absent"
+        );
+        assert_eq!(known.health.unwrap().spec_misses, 2);
+        assert_eq!(
+            dec.read_u32().unwrap(),
+            0xFEED,
+            "stream resumes after the list"
+        );
+    }
+
+    #[test]
+    fn lying_manifest_count_is_an_error() {
+        let mut ctx = DepositManifest {
+            block_lengths: vec![1, 2],
+        }
+        .to_context();
+        // Claim 2^32-1 blocks with two present.
+        let order = ByteOrder::native();
+        ctx.data[4..8].copy_from_slice(&endian::write_u32(order, u32::MAX));
+        assert!(ManifestView::decode(&ctx.data).is_err());
+        assert!(DepositManifest::from_context(&ctx).is_err());
     }
 
     /// Cross-assert the wire values against spelled-out literals: the ids

@@ -5,7 +5,8 @@
 //! message stream. This crate provides the protocol pieces:
 //!
 //! * [`msg`] — the 12-byte GIOP message header, message types, flags,
-//!   framing helpers and fragmentation;
+//!   in-place message assembly and fragmentation into header + body-slice
+//!   frames;
 //! * [`request`]/[`reply`] — Request and Reply headers and system-exception
 //!   bodies;
 //! * [`context`] — service contexts, including the two zcorba-specific
@@ -27,19 +28,21 @@ pub mod reply;
 pub mod request;
 
 pub use context::{
-    DepositManifest, ServiceContext, TraceContext, ZcHealthContext, SVC_CTX_DEPOSIT,
-    SVC_CTX_NEGOTIATE, SVC_CTX_TRACE, SVC_CTX_ZC_HEALTH,
+    ContextOut, DepositManifest, KnownContexts, ManifestView, ServiceContext, TraceContext,
+    ZcHealthContext, SVC_CTX_DEPOSIT, SVC_CTX_NEGOTIATE, SVC_CTX_TRACE, SVC_CTX_ZC_HEALTH,
 };
 pub use handshake::{Handshake, Negotiated};
 pub use ior::{
     IiopProfile, Ior, TaggedComponent, TaggedProfile, MAX_IOR_PROFILES, MAX_PROFILE_COMPONENTS,
 };
 pub use msg::{
-    fragment_frames, frame as frame_msg, reassemble, GiopFlags, GiopHeader, GiopVersion,
-    MessageType, GIOP_HEADER_LEN, GIOP_MAGIC,
+    begin_message, fragments, reassemble, set_msg_size, Fragments, GiopFlags, GiopHeader,
+    GiopVersion, MessageType, GIOP_HEADER_LEN, GIOP_MAGIC,
 };
-pub use reply::{ReplyHeader, ReplyStatus, SystemException, SystemExceptionKind};
-pub use request::RequestHeader;
+pub use reply::{
+    ReplyHeader, ReplyHeaderOut, ReplyHeaderRef, ReplyStatus, SystemException, SystemExceptionKind,
+};
+pub use request::{RequestHeader, RequestHeaderOut, RequestHeaderRef};
 
 use zc_cdr::CdrError;
 

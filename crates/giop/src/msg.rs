@@ -1,6 +1,6 @@
 //! The GIOP message header and framing.
 
-use zc_cdr::{endian, ByteOrder};
+use zc_cdr::{endian, ByteOrder, CdrEncoder};
 
 use crate::{GiopError, GiopResult, MAX_GIOP_MESSAGE};
 
@@ -190,59 +190,109 @@ impl GiopHeader {
     }
 }
 
-/// Frame a complete GIOP message: header followed by body.
-pub fn frame(
+/// Start a GIOP message in `buf`: clear it, write the 12-byte header with
+/// a zero `msg_size`, and return an encoder for the body whose alignment
+/// counts from the body start. The caller encodes the body, takes the
+/// buffer back with [`CdrEncoder::finish`] and patches the size with
+/// [`set_msg_size`]. Reusing one buffer per connection keeps every message
+/// in a single allocation that outlives it.
+pub fn begin_message(
+    mut buf: Vec<u8>,
     version: GiopVersion,
     order: ByteOrder,
     msg_type: MessageType,
-    body: &[u8],
-) -> Vec<u8> {
-    let header = GiopHeader::new(version, order, msg_type, body.len() as u32);
-    let mut out = Vec::with_capacity(GIOP_HEADER_LEN + body.len());
-    // zc-audit: allow(control-plane) — 12-byte header prefix
-    out.extend_from_slice(&header.encode());
-    // zc-audit: allow(copy) — control frames aggregate header+body into one send buffer; accounted as SocketSend
-    out.extend_from_slice(body);
-    out
+) -> CdrEncoder {
+    buf.clear();
+    buf.extend(GiopHeader::new(version, order, msg_type, 0).encode());
+    CdrEncoder::append_to(buf, order)
 }
 
-/// Split a large body into a first message plus `Fragment` continuations of
-/// at most `max_body` bytes each, setting the more-fragments bit on all but
-/// the last. GIOP 1.2 semantics (fragments carry the request id as their
-/// first ulong; callers include it in each chunk).
-pub fn fragment_frames(
+/// Patch `msg_size` into a message started with [`begin_message`]: the
+/// body is what follows the header in `frame` plus `tail_len` bytes the
+/// sender writes after it (the argument bytes of a gather send).
+///
+/// # Panics
+/// If `frame` is shorter than a GIOP header.
+pub fn set_msg_size(frame: &mut [u8], tail_len: usize) {
+    let size = frame
+        .len()
+        .saturating_sub(GIOP_HEADER_LEN)
+        .saturating_add(tail_len) as u32;
+    let order = GiopFlags::from_octet(frame[6]).order;
+    for (dst, src) in frame[8..GIOP_HEADER_LEN]
+        .iter_mut()
+        .zip(endian::write_u32(order, size))
+    {
+        *dst = src;
+    }
+}
+
+/// The frames of one GIOP message whose body is `body[0]` followed by
+/// `body[1]`. A body of at most `max_body` bytes is one complete frame;
+/// a larger one is a first frame of type `msg_type` plus `Fragment`
+/// continuations, at most `max_body` body bytes each, with the
+/// more-fragments bit on all but the last (GIOP 1.2 semantics: callers
+/// put the request id at the start of the body). Each item is a frame's
+/// 12-byte header and its body as two slices of the parts, so sending a
+/// frame copies nothing in user space.
+pub fn fragments<'a>(
     version: GiopVersion,
     order: ByteOrder,
     msg_type: MessageType,
-    body: &[u8],
+    body: [&'a [u8]; 2],
     max_body: usize,
-) -> Vec<Vec<u8>> {
+) -> Fragments<'a> {
     assert!(max_body > 0, "fragment body size must be positive");
-    if body.len() <= max_body {
-        return vec![frame(version, order, msg_type, body)];
+    Fragments {
+        version,
+        order,
+        msg_type,
+        rest: body,
+        max_body,
+        first: true,
     }
-    let mut frames = Vec::new();
-    let chunks: Vec<&[u8]> = body.chunks(max_body).collect();
-    let last = chunks.len() - 1;
-    for (i, chunk) in chunks.into_iter().enumerate() {
-        let mt = if i == 0 {
-            msg_type
+}
+
+/// Iterator returned by [`fragments`].
+#[derive(Debug, Clone)]
+pub struct Fragments<'a> {
+    version: GiopVersion,
+    order: ByteOrder,
+    msg_type: MessageType,
+    /// Body bytes not yet framed.
+    rest: [&'a [u8]; 2],
+    max_body: usize,
+    first: bool,
+}
+
+impl<'a> Iterator for Fragments<'a> {
+    type Item = ([u8; GIOP_HEADER_LEN], [&'a [u8]; 2]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let [a, b] = self.rest;
+        if !self.first && a.is_empty() && b.is_empty() {
+            return None;
+        }
+        let take_a = a.len().min(self.max_body);
+        let take_b = b.len().min(self.max_body - take_a);
+        let (a_now, a_rest) = a.split_at(take_a);
+        let (b_now, b_rest) = b.split_at(take_b);
+        self.rest = [a_rest, b_rest];
+        let msg_type = if self.first {
+            self.msg_type
         } else {
             MessageType::Fragment
         };
-        let mut header = GiopHeader::new(version, order, mt, chunk.len() as u32);
-        header.flags.more_fragments = i != last;
-        let mut f = Vec::with_capacity(GIOP_HEADER_LEN + chunk.len());
-        // zc-audit: allow(control-plane) — per-fragment 12-byte header
-        f.extend_from_slice(&header.encode());
-        // zc-audit: allow(copy) — software fragmentation copies each chunk; this models the KernelFrag layer
-        f.extend_from_slice(chunk);
-        frames.push(f);
+        self.first = false;
+        let mut header =
+            GiopHeader::new(self.version, self.order, msg_type, (take_a + take_b) as u32);
+        header.flags.more_fragments = !(a_rest.is_empty() && b_rest.is_empty());
+        Some((header.encode(), [a_now, b_now]))
     }
-    frames
 }
 
-/// Reassemble frames produced by [`fragment_frames`] back into
+/// Reassemble frames produced by [`fragments`] (each header and body
+/// concatenated into one buffer) back into
 /// `(msg_type, body)`. Returns an error when a continuation is not a
 /// `Fragment` or the final frame still announces more fragments.
 pub fn reassemble(frames: &[Vec<u8>]) -> GiopResult<(MessageType, Vec<u8>)> {
@@ -396,60 +446,75 @@ mod tests {
         assert_eq!(bytes[11], 1, "big-endian size ends with LSB");
     }
 
-    #[test]
-    fn frame_concatenates_header_and_body() {
-        let f = frame(
+    /// Each frame of [`fragments`] as one owned buffer.
+    fn owned_frames(body: &[u8], split: usize, max_body: usize) -> Vec<Vec<u8>> {
+        let (a, b) = body.split_at(split);
+        fragments(
             GiopVersion::V1_2,
             ByteOrder::Little,
             MessageType::Request,
-            &[1, 2, 3],
+            [a, b],
+            max_body,
+        )
+        .map(|(h, [a, b])| [&h[..], a, b].concat())
+        .collect()
+    }
+
+    #[test]
+    fn message_is_encoded_behind_its_header() {
+        let mut enc = begin_message(
+            vec![0xEE; 40],
+            GiopVersion::V1_2,
+            ByteOrder::Big,
+            MessageType::Reply,
         );
-        assert_eq!(f.len(), GIOP_HEADER_LEN + 3);
+        enc.write_octet(1);
+        enc.write_u64(2); // aligned from the body start: 7 pad bytes
+        let (mut f, _) = enc.finish();
+        set_msg_size(&mut f, 5);
+        assert_eq!(f.len(), GIOP_HEADER_LEN + 16);
         let hdr = GiopHeader::decode(&f[..12].try_into().unwrap()).unwrap();
-        assert_eq!(hdr.msg_size, 3);
-        assert_eq!(&f[12..], &[1, 2, 3]);
+        assert_eq!(hdr.msg_type, MessageType::Reply);
+        assert_eq!(hdr.msg_size, 16 + 5, "size counts the gathered tail");
+        assert_eq!(&f[20..], &2u64.to_be_bytes());
     }
 
     #[test]
     fn fragmentation_roundtrip() {
         let body: Vec<u8> = (0..10_000).map(|i| (i % 256) as u8).collect();
-        let frames = fragment_frames(
-            GiopVersion::V1_2,
-            ByteOrder::Little,
-            MessageType::Request,
-            &body,
-            1460,
-        );
-        assert!(frames.len() > 1);
-        let (mt, back) = reassemble(&frames).unwrap();
-        assert_eq!(mt, MessageType::Request);
-        assert_eq!(back, body);
+        // The split between the two parts lands inside, at, and outside
+        // frame boundaries.
+        for split in [0, 1, 1460, 5000, 10_000] {
+            let frames = owned_frames(&body, split, 1460);
+            assert_eq!(frames.len(), 7);
+            let (mt, back) = reassemble(&frames).unwrap();
+            assert_eq!(mt, MessageType::Request);
+            assert_eq!(back, body);
+        }
     }
 
     #[test]
     fn small_body_is_single_frame() {
-        let frames = fragment_frames(
-            GiopVersion::V1_0,
-            ByteOrder::Big,
-            MessageType::Reply,
-            &[1, 2],
-            1460,
-        );
-        assert_eq!(frames.len(), 1);
-        let hdr = GiopHeader::decode(&frames[0][..12].try_into().unwrap()).unwrap();
-        assert!(!hdr.flags.more_fragments);
+        for body in [&[][..], &[1, 2][..]] {
+            let frames = owned_frames(body, body.len() / 2, 1460);
+            assert_eq!(frames.len(), 1);
+            let hdr = GiopHeader::decode(&frames[0][..12].try_into().unwrap()).unwrap();
+            assert!(!hdr.flags.more_fragments);
+            assert_eq!(hdr.msg_size as usize, body.len());
+            assert_eq!(&frames[0][12..], body);
+        }
+    }
+
+    #[test]
+    fn body_of_exactly_max_is_single_frame() {
+        assert_eq!(owned_frames(&[7; 1024], 100, 1024).len(), 1);
+        assert_eq!(owned_frames(&[7; 1025], 100, 1024).len(), 2);
     }
 
     #[test]
     fn truncated_fragment_stream_rejected() {
         let body = vec![0u8; 5000];
-        let mut frames = fragment_frames(
-            GiopVersion::V1_2,
-            ByteOrder::Little,
-            MessageType::Request,
-            &body,
-            1024,
-        );
+        let mut frames = owned_frames(&body, 2500, 1024);
         frames.pop(); // lose the final fragment
         assert!(reassemble(&frames).is_err());
     }

@@ -2,7 +2,7 @@
 
 use zc_cdr::{CdrDecoder, CdrEncoder, CdrError, CdrResult};
 
-use crate::context::ServiceContext;
+use crate::context::{write_contexts, ContextOut, KnownContexts, ServiceContext};
 
 /// Reply status codes (CORBA `ReplyStatusType`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,13 +61,60 @@ impl ReplyHeader {
         Ok(())
     }
 
-    /// Decode from a CDR stream.
+    /// Decode from a CDR stream, keeping every service context.
     pub fn demarshal(dec: &mut CdrDecoder<'_>) -> CdrResult<ReplyHeader> {
         let service_contexts = ServiceContext::demarshal_list(dec)?;
         let request_id = dec.read_u32()?;
         let status = ReplyStatus::from_u32(dec.read_u32()?)?;
         Ok(ReplyHeader {
             service_contexts,
+            request_id,
+            status,
+        })
+    }
+}
+
+/// A Reply header to encode in place (see [`crate::RequestHeaderOut`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ReplyHeaderOut<'a> {
+    /// The zcorba contexts to carry, in wire order.
+    pub contexts: &'a [Option<ContextOut<'a>>],
+    /// The request id this reply answers.
+    pub request_id: u32,
+    /// Outcome discriminator.
+    pub status: ReplyStatus,
+}
+
+impl ReplyHeaderOut<'_> {
+    /// Encode onto a CDR stream; the bytes equal those of the matching
+    /// [`ReplyHeader::marshal`].
+    pub fn marshal(&self, enc: &mut CdrEncoder) {
+        write_contexts(self.contexts, enc);
+        enc.write_u32(self.request_id);
+        enc.write_u32(self.status as u32);
+    }
+}
+
+/// A Reply header decoded by borrowing from the received message (see
+/// [`crate::RequestHeaderRef`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ReplyHeaderRef<'a> {
+    /// The zcorba contexts carried (unknown ones skipped).
+    pub contexts: KnownContexts<'a>,
+    /// The request id this reply answers.
+    pub request_id: u32,
+    /// Outcome discriminator.
+    pub status: ReplyStatus,
+}
+
+impl<'a> ReplyHeaderRef<'a> {
+    /// Decode from a CDR stream without copying out of it.
+    pub fn decode(dec: &mut CdrDecoder<'a>) -> CdrResult<ReplyHeaderRef<'a>> {
+        let contexts = KnownContexts::decode(dec)?;
+        let request_id = dec.read_u32()?;
+        let status = ReplyStatus::from_u32(dec.read_u32()?)?;
+        Ok(ReplyHeaderRef {
+            contexts,
             request_id,
             status,
         })

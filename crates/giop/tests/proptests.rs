@@ -9,6 +9,22 @@ use zc_giop::{
     ReplyHeader, ReplyStatus, RequestHeader, TaggedProfile, GIOP_HEADER_LEN,
 };
 
+/// Each frame of a fragmented message as one owned buffer (header then
+/// body), the form a hostile peer would put on the wire. The body is split
+/// into two parts at its middle, so frames span the parts' boundary.
+fn fragment_frames(
+    version: GiopVersion,
+    order: ByteOrder,
+    msg_type: MessageType,
+    body: &[u8],
+    max_body: usize,
+) -> Vec<Vec<u8>> {
+    let (a, b) = body.split_at(body.len() / 2);
+    zc_giop::msg::fragments(version, order, msg_type, [a, b], max_body)
+        .map(|(header, [a, b])| [&header[..], a, b].concat())
+        .collect()
+}
+
 fn orders() -> impl Strategy<Value = ByteOrder> {
     prop_oneof![Just(ByteOrder::Big), Just(ByteOrder::Little)]
 }
@@ -41,7 +57,7 @@ proptest! {
         max_body in 1usize..4096,
         order in orders(),
     ) {
-        let frames = zc_giop::msg::fragment_frames(
+        let frames = fragment_frames(
             GiopVersion::V1_2, order, MessageType::Request, &body, max_body);
         let (mt, back) = zc_giop::msg::reassemble(&frames).unwrap();
         prop_assert_eq!(mt, MessageType::Request);
@@ -148,7 +164,7 @@ proptest! {
         cut in any::<usize>(),
         do_truncate: bool,
     ) {
-        let mut frames = zc_giop::msg::fragment_frames(
+        let mut frames = fragment_frames(
             GiopVersion::V1_2, order, MessageType::Request, &body, max_body);
         // Flip bytes anywhere in the concatenated stream (headers and
         // bodies alike — size fields, flags, magic, everything).
@@ -191,6 +207,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -201,8 +218,17 @@ struct CountingAlloc;
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Allocations made by this thread: a measured section is not charged
+    /// for what concurrently running tests allocate.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: the allocator may run while this thread's locals are
+        // being torn down.
+        let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
@@ -234,6 +260,13 @@ fn measured_peak<R>(f: impl FnOnce() -> R) -> (R, usize) {
     (r, peak)
 }
 
+/// Run `f` and return `(result, allocations this thread made in it)`.
+fn counted_allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = THREAD_ALLOCS.with(Cell::get);
+    let r = f();
+    (r, THREAD_ALLOCS.with(Cell::get) - before)
+}
+
 fn u32_wire(v: u32, order: ByteOrder) -> [u8; 4] {
     match order {
         ByteOrder::Big => v.to_be_bytes(),
@@ -255,7 +288,7 @@ proptest! {
         hostile in 4096u32..u32::MAX,
         victim in any::<usize>(),
     ) {
-        let mut frames = zc_giop::msg::fragment_frames(
+        let mut frames = fragment_frames(
             GiopVersion::V1_2, order, MessageType::Request, &body, max_body);
         // Overwrite one frame's msg_size field (bytes 8..12 of the fixed
         // header) with a lie much larger than any actual fragment body.
@@ -416,6 +449,129 @@ proptest! {
             peak <= MAX_GIOP_MESSAGE as usize,
             "hostile count drove a {peak} byte peak"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The borrowed decoders every received header goes through: the same
+// hostile counts and mutated bytes must land as errors, never panics, and
+// must not allocate at all.
+// ---------------------------------------------------------------------------
+
+use zc_buffers::ZcBytes;
+use zc_giop::{
+    begin_message, ContextOut, KnownContexts, ManifestView, ReplyHeaderOut, ReplyHeaderRef,
+    RequestHeaderOut, RequestHeaderRef, TraceContext, ZcHealthContext,
+};
+
+/// The body (GIOP header stripped) of a Request or Reply carrying all
+/// three zcorba contexts, encoded as a connection sends it.
+fn encoded_header_body(order: ByteOrder, reply: bool) -> Vec<u8> {
+    let blocks = [ZcBytes::zeroed(64), ZcBytes::zeroed(0)];
+    let contexts = [
+        Some(ContextOut::Deposits(&blocks)),
+        Some(ContextOut::Trace(TraceContext {
+            trace_id: 7,
+            sent_at_ns: 9,
+            ..Default::default()
+        })),
+        Some(ContextOut::Health(ZcHealthContext {
+            spec_hits: 3,
+            spec_misses: 1,
+        })),
+    ];
+    let msg_type = if reply {
+        MessageType::Reply
+    } else {
+        MessageType::Request
+    };
+    let mut enc = begin_message(Vec::new(), GiopVersion::V1_2, order, msg_type);
+    if reply {
+        ReplyHeaderOut {
+            contexts: &contexts,
+            request_id: 5,
+            status: ReplyStatus::NoException,
+        }
+        .marshal(&mut enc);
+    } else {
+        RequestHeaderOut {
+            contexts: &contexts,
+            request_id: 5,
+            response_expected: true,
+            object_key: b"object-key",
+            operation: "operation",
+        }
+        .marshal(&mut enc);
+    }
+    let (bytes, _) = enc.finish();
+    bytes[GIOP_HEADER_LEN..].to_vec()
+}
+
+proptest! {
+    /// `prop_hostile_context_counts_error_bounded` replayed against the
+    /// borrowed decoders: a lying context count or manifest count errors,
+    /// and nothing is allocated on the way.
+    #[test]
+    fn prop_hostile_counts_error_in_borrowed_decode_without_allocating(
+        announced in 8u32..u32::MAX,
+        tail in proptest::collection::vec(any::<u8>(), 0..32),
+        order in orders(),
+    ) {
+        let mut list_bytes = u32_wire(announced, order).to_vec();
+        list_bytes.extend_from_slice(&tail);
+        let mut data = vec![order.flag() as u8, 0, 0, 0];
+        data.extend_from_slice(&u32_wire(announced, order));
+        data.extend_from_slice(&tail);
+
+        let (all_err, allocs) = counted_allocs(|| {
+            KnownContexts::decode(&mut CdrDecoder::new(&list_bytes, order)).is_err()
+                && RequestHeaderRef::decode(&mut CdrDecoder::new(&list_bytes, order)).is_err()
+                && ReplyHeaderRef::decode(&mut CdrDecoder::new(&list_bytes, order)).is_err()
+                && ManifestView::decode(&data).is_err()
+        });
+        prop_assert!(all_err, "a lying count of {} must error", announced);
+        prop_assert_eq!(allocs, 0);
+    }
+
+    /// A valid Request or Reply header with random byte flips and/or a
+    /// truncation: the borrowed decoders never panic and never allocate,
+    /// and whatever they return borrows from the received bytes.
+    #[test]
+    fn prop_mutated_header_borrowed_decode_never_panics(
+        order in orders(),
+        reply: bool,
+        flips in proptest::collection::vec((any::<usize>(), 1u8..=255u8), 0..8),
+        cut in any::<usize>(),
+        do_truncate: bool,
+    ) {
+        let mut body = encoded_header_body(order, reply);
+        let len = body.len();
+        for &(idx, xor) in &flips {
+            body[idx % len] ^= xor;
+        }
+        if do_truncate {
+            body.truncate(cut % len);
+        }
+        let range = body.as_ptr_range();
+        let inside = |part: &[u8]| {
+            part.is_empty() || (range.contains(&part.as_ptr()) && part.as_ptr_range().end <= range.end)
+        };
+        let (decoded, allocs) = counted_allocs(|| {
+            let mut dec = CdrDecoder::new(&body, order);
+            if reply {
+                ReplyHeaderRef::decode(&mut dec).map(|_| true)
+            } else {
+                RequestHeaderRef::decode(&mut dec)
+                    .map(|h| inside(h.object_key) && inside(h.operation.as_bytes()))
+            }
+        });
+        prop_assert_eq!(allocs, 0);
+        if let Ok(borrows) = decoded {
+            prop_assert!(borrows, "a decoded header must borrow from the message");
+        }
+        if flips.is_empty() && !do_truncate {
+            prop_assert!(decoded.is_ok(), "the unmutated header must decode");
+        }
     }
 }
 

@@ -102,11 +102,15 @@ pub type TResult<T> = Result<T, TransportError>;
 /// time (the ORB serializes request/reply exchanges per connection and
 /// opens additional connections for concurrency).
 pub trait Connection: Send {
-    /// Send one framed control message (small: headers, handshakes).
-    fn send_control(&mut self, msg: &[u8]) -> TResult<()>;
+    /// Send one framed control message (small: headers, handshakes). The
+    /// message is `parts` back to back: a gather send, so a protocol
+    /// header and the bytes that follow it need not be joined in user
+    /// space first.
+    fn send_control(&mut self, parts: &[&[u8]]) -> TResult<()>;
 
-    /// Receive one framed control message, blocking.
-    fn recv_control(&mut self) -> TResult<Vec<u8>>;
+    /// Receive one framed control message, blocking. The message is handed
+    /// over in the pool-backed buffer it was received into.
+    fn recv_control(&mut self) -> TResult<ZcBytes>;
 
     /// Send one bulk data block on the data path. On a zero-copy transport
     /// no payload byte is touched.

@@ -668,14 +668,16 @@ impl SimConn {
         }
     }
 
-    /// The conventional send path: user→kernel copy, then fragmentation
-    /// with per-frame copies.
-    fn send_bytes_copying(&mut self, lane: Lane, bytes: &[u8]) -> TResult<()> {
+    /// The conventional send path: user→kernel copy of the gathered
+    /// `parts`, then fragmentation with per-frame copies.
+    fn send_bytes_copying(&mut self, lane: Lane, parts: &[&[u8]]) -> TResult<()> {
         let meter = Arc::clone(&self.ctx.meter);
+        let len: usize = parts.iter().map(|p| p.len()).sum();
         // write(): cross the user/kernel boundary into the socket page pool.
-        let mut kernel_buf = self.ctx.pool.acquire(bytes.len().max(1));
-        kernel_buf.set_len(bytes.len());
-        meter.copy(CopyLayer::SocketSend, kernel_buf.as_mut_slice(), bytes);
+        let mut kernel_buf = self.ctx.pool.acquire(len.max(1));
+        kernel_buf.set_len(len);
+        meter.copy_gather(CopyLayer::SocketSend, kernel_buf.as_mut_slice(), parts);
+        let bytes = kernel_buf.as_slice();
 
         let block_id = self.alloc_block_id();
         let total_len = bytes.len() as u64;
@@ -697,11 +699,7 @@ impl SimConn {
             // Driver fragmentation: header insertion forces a copy of the
             // fragment into the frame.
             let mut frag = vec![0u8; end - offset];
-            meter.copy(
-                CopyLayer::KernelFrag,
-                &mut frag,
-                &kernel_buf.as_slice()[offset..end],
-            );
+            meter.copy(CopyLayer::KernelFrag, &mut frag, &bytes[offset..end]);
             self.send_frame(Frame {
                 lane,
                 block_id,
@@ -918,24 +916,28 @@ impl SimConn {
 }
 
 impl Connection for SimConn {
-    fn send_control(&mut self, msg: &[u8]) -> TResult<()> {
+    fn send_control(&mut self, parts: &[&[u8]]) -> TResult<()> {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
         self.stats.add(TransportField::ControlSent, 1);
-        self.stats.add(TransportField::BytesSent, msg.len() as u64);
+        self.stats.add(TransportField::BytesSent, len as u64);
         match self.cfg.mode {
-            StackMode::Copying => self.send_bytes_copying(Lane::Control, msg),
+            StackMode::Copying => self.send_bytes_copying(Lane::Control, parts),
             StackMode::ZeroCopy => {
                 // Control messages are small; the zero-copy stack still
-                // moves them through the socket (one metered copy), but
-                // skips the pagepool and fragmentation machinery.
-                let mut framed = vec![0u8; msg.len()];
-                self.ctx.meter.copy(CopyLayer::SocketSend, &mut framed, msg);
+                // moves them through the socket (one metered copy that
+                // gathers the parts), but skips the pagepool and
+                // fragmentation machinery.
+                let mut framed = vec![0u8; len];
+                self.ctx
+                    .meter
+                    .copy_gather(CopyLayer::SocketSend, &mut framed, parts);
                 let block_id = self.alloc_block_id();
                 let sent_ns = self.wire_stamp();
                 self.send_frame(Frame {
                     lane: Lane::Control,
                     block_id,
                     offset: 0,
-                    total_len: msg.len() as u64,
+                    total_len: len as u64,
                     sent_ns,
                     payload: FramePayload::Copied(framed),
                 })
@@ -943,26 +945,25 @@ impl Connection for SimConn {
         }
     }
 
-    fn recv_control(&mut self) -> TResult<Vec<u8>> {
+    fn recv_control(&mut self) -> TResult<ZcBytes> {
         let frames = self.recv_block_frames(Lane::Control)?;
         self.stats.add(TransportField::ControlRecv, 1);
         let out = match self.cfg.mode {
-            StackMode::Copying => {
-                let z = self.reassemble_copying(&frames)?;
-                // zc-audit: allow(copy) — copying stack hands the control path an owned buffer; accounted as SocketRecv
-                z.as_slice().to_vec()
-            }
+            StackMode::Copying => self.reassemble_copying(&frames)?,
             StackMode::ZeroCopy => {
+                // read(): the frames land in one pool buffer, which is
+                // handed over as is.
                 let total = checked_block_len(frames.first().map_or(0, |f| f.total_len))?;
-                let mut out = vec![0u8; total];
+                let mut out = self.ctx.pool.acquire(total.max(1));
+                out.set_len(total);
                 for f in &frames {
                     let p = f.payload.as_slice();
                     let span = checked_span(f.offset, p.len(), total)?;
                     self.ctx
                         .meter
-                        .copy(CopyLayer::SocketRecv, &mut out[span], p);
+                        .copy(CopyLayer::SocketRecv, &mut out.as_mut_slice()[span], p);
                 }
-                out
+                out.freeze()
             }
         };
         self.stats.add(TransportField::BytesRecv, out.len() as u64);
@@ -974,7 +975,7 @@ impl Connection for SimConn {
         self.stats
             .add(TransportField::BytesSent, block.len() as u64);
         match self.cfg.mode {
-            StackMode::Copying => self.send_bytes_copying(Lane::Data, block.as_slice()),
+            StackMode::Copying => self.send_bytes_copying(Lane::Data, &[block.as_slice()]),
             StackMode::ZeroCopy => self.send_block_zero_copy(block),
         }
     }
@@ -1058,24 +1059,37 @@ mod tests {
     #[test]
     fn control_roundtrip_copying() {
         let (mut c, mut s, _ctx) = pair(SimConfig::copying());
-        c.send_control(b"hello").unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"hello");
-        s.send_control(b"world").unwrap();
-        assert_eq!(c.recv_control().unwrap(), b"world");
+        c.send_control(&[b"hello".as_slice()]).unwrap();
+        assert_eq!(s.recv_control().unwrap().as_slice(), b"hello");
+        s.send_control(&[b"world".as_slice()]).unwrap();
+        assert_eq!(c.recv_control().unwrap().as_slice(), b"world");
     }
 
     #[test]
     fn control_roundtrip_zero_copy() {
         let (mut c, mut s, _ctx) = pair(SimConfig::zero_copy());
-        c.send_control(b"ping").unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"ping");
+        c.send_control(&[b"ping".as_slice()]).unwrap();
+        assert_eq!(s.recv_control().unwrap().as_slice(), b"ping");
+    }
+
+    #[test]
+    fn gathered_control_parts_are_one_metered_copy() {
+        for cfg in [SimConfig::copying(), SimConfig::zero_copy()] {
+            let (mut c, mut s, ctx) = pair(cfg);
+            c.send_control(&[b"head".as_slice(), b"", b"-tail"])
+                .unwrap();
+            assert_eq!(s.recv_control().unwrap().as_slice(), b"head-tail");
+            let m = ctx.meter.snapshot();
+            assert_eq!(m.bytes(CopyLayer::SocketSend), 9);
+            assert_eq!(ctx.meter.events(CopyLayer::SocketSend), 1);
+        }
     }
 
     #[test]
     fn empty_control_message() {
         let (mut c, mut s, _ctx) = pair(SimConfig::copying());
-        c.send_control(b"").unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"");
+        c.send_control(&[b"".as_slice()]).unwrap();
+        assert_eq!(s.recv_control().unwrap().as_slice(), b"");
     }
 
     #[test]
@@ -1189,8 +1203,8 @@ mod tests {
         let (mut c, mut s, _ctx) = pair(SimConfig::zero_copy());
         // Send data first, then control; receive control first.
         c.send_data(&ZcBytes::zeroed(PAGE_SIZE * 2)).unwrap();
-        c.send_control(b"after-data").unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"after-data");
+        c.send_control(&[b"after-data".as_slice()]).unwrap();
+        assert_eq!(s.recv_control().unwrap().as_slice(), b"after-data");
         assert_eq!(s.recv_data(PAGE_SIZE * 2).unwrap().len(), PAGE_SIZE * 2);
     }
 
@@ -1232,10 +1246,10 @@ mod tests {
         let mut c2 = net.connect(port, ctx.clone()).unwrap();
         let mut s1 = l.accept().unwrap();
         let mut s2 = l.accept().unwrap();
-        c1.send_control(b"one").unwrap();
-        c2.send_control(b"two").unwrap();
-        assert_eq!(s1.recv_control().unwrap(), b"one");
-        assert_eq!(s2.recv_control().unwrap(), b"two");
+        c1.send_control(&[b"one".as_slice()]).unwrap();
+        c2.send_control(&[b"two".as_slice()]).unwrap();
+        assert_eq!(s1.recv_control().unwrap().as_slice(), b"one");
+        assert_eq!(s2.recv_control().unwrap().as_slice(), b"two");
     }
 
     fn faulty_pair(
@@ -1263,13 +1277,16 @@ mod tests {
         let port = l.endpoint().1;
         let mut c = net.connect(port, ctx.clone()).unwrap();
         let mut s = l.accept().unwrap();
-        c.send_control(b"ok").unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"ok");
+        c.send_control(&[b"ok".as_slice()]).unwrap();
+        assert_eq!(s.recv_control().unwrap().as_slice(), b"ok");
 
         net.inject_faults(FaultPlan::cut_after(0).on(FaultSide::Client));
-        assert_eq!(c.send_control(b"dead").unwrap_err(), TransportError::Closed);
         assert_eq!(
-            c.send_control(b"still dead").unwrap_err(),
+            c.send_control(&[b"dead".as_slice()]).unwrap_err(),
+            TransportError::Closed
+        );
+        assert_eq!(
+            c.send_control(&[b"still dead".as_slice()]).unwrap_err(),
             TransportError::Closed,
             "a cut wire stays cut"
         );
@@ -1279,15 +1296,18 @@ mod tests {
         // The trip budget is spent: a replacement connection sails through.
         let mut c2 = net.connect(port, ctx.clone()).unwrap();
         let mut s2 = l.accept().unwrap();
-        c2.send_control(b"again").unwrap();
-        assert_eq!(s2.recv_control().unwrap(), b"again");
+        c2.send_control(&[b"again".as_slice()]).unwrap();
+        assert_eq!(s2.recv_control().unwrap().as_slice(), b"again");
     }
 
     #[test]
     fn fault_drop_prob_one_kills_immediately() {
         let (net, mut c, _s, _ctx) = faulty_pair(SimConfig::copying());
         net.inject_faults(FaultPlan::drop(1.0));
-        assert_eq!(c.send_control(b"x").unwrap_err(), TransportError::Closed);
+        assert_eq!(
+            c.send_control(&[b"x".as_slice()]).unwrap_err(),
+            TransportError::Closed
+        );
     }
 
     #[test]
@@ -1298,10 +1318,14 @@ mod tests {
             ..FaultPlan::default()
         });
         let original = b"hello fault injector".to_vec();
-        c.send_control(&original).unwrap();
+        c.send_control(&[original.as_slice()]).unwrap();
         let got = s.recv_control().unwrap();
         assert_eq!(got.len(), original.len());
-        assert_ne!(got, original, "payload must arrive damaged");
+        assert_ne!(
+            got.as_slice(),
+            original.as_slice(),
+            "payload must arrive damaged"
+        );
     }
 
     #[test]
@@ -1329,10 +1353,10 @@ mod tests {
             truncate_frame: Some(0),
             ..FaultPlan::default()
         });
-        c.send_control(b"0123456789").unwrap();
+        c.send_control(&[b"0123456789".as_slice()]).unwrap();
         // The truncated block can never complete; the next block's frames
         // expose the mismatch deterministically.
-        c.send_control(b"next").unwrap();
+        c.send_control(&[b"next".as_slice()]).unwrap();
         assert!(matches!(s.recv_control(), Err(TransportError::Protocol(_))));
     }
 
@@ -1400,10 +1424,13 @@ mod tests {
         let (net, mut c, mut s, _ctx) = faulty_pair(SimConfig::copying());
         net.inject_faults(FaultPlan::cut_after(0).on(FaultSide::Server));
         // Client sending is unaffected…
-        c.send_control(b"client fine").unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"client fine");
+        c.send_control(&[b"client fine".as_slice()]).unwrap();
+        assert_eq!(s.recv_control().unwrap().as_slice(), b"client fine");
         // …but the server's first send dies.
-        assert_eq!(s.send_control(b"x").unwrap_err(), TransportError::Closed);
+        assert_eq!(
+            s.send_control(&[b"x".as_slice()]).unwrap_err(),
+            TransportError::Closed
+        );
     }
 
     #[test]

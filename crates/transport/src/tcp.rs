@@ -8,7 +8,7 @@
 //! kept at the framing level (a lane tag per frame), preserving the ORB's
 //! "announce, then deposit" protocol shape on a real socket.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
@@ -46,7 +46,7 @@ pub struct TcpConn {
     stream: TcpStream,
     ctx: TransportCtx,
     peer: String,
-    pending_control: std::collections::VecDeque<Vec<u8>>,
+    pending_control: std::collections::VecDeque<ZcBytes>,
     pending_data: std::collections::VecDeque<ZcBytes>,
     stats: Arc<StatsCell>,
     trace_conn: u64,
@@ -71,18 +71,34 @@ impl TcpConn {
         })
     }
 
-    fn write_frame(&mut self, lane: u8, payload: &[u8]) -> TResult<()> {
+    /// Write one frame whose payload is `parts` back to back: the lane
+    /// header and every part go out through vectored writes, so nothing is
+    /// joined in user space and a small frame costs one `writev`.
+    fn write_frame(&mut self, lane: u8, parts: &[&[u8]]) -> TResult<()> {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
         let mut header = [0u8; 9];
         header[0] = lane;
         // zc-audit: allow(control-plane) — 9-byte frame header, no payload bytes
-        header[1..9].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        self.stream.write_all(&header)?;
+        header[1..9].copy_from_slice(&(len as u64).to_le_bytes());
         // The kernel copies the payload out of user space here.
-        self.ctx.meter.record(CopyLayer::SocketSend, payload.len());
-        self.stream.write_all(payload)?;
+        self.ctx.meter.record(CopyLayer::SocketSend, len);
+        let mut slices = [IoSlice::new(&[]); 8];
+        let mut all = std::iter::once(&header[..])
+            .chain(parts.iter().copied())
+            .peekable();
+        while all.peek().is_some() {
+            let mut n = 0;
+            for (slot, part) in slices.iter_mut().zip(all.by_ref()) {
+                *slot = IoSlice::new(part);
+                n += 1;
+            }
+            write_all_vectored(&mut self.stream, &mut slices[..n])?;
+        }
         self.stats.add(TransportField::FramesSent, 1);
-        self.stats
-            .add(TransportField::WireBytesSent, (payload.len() + 9) as u64);
+        self.stats.add(
+            TransportField::WireBytesSent,
+            (len as u64).saturating_add(9),
+        );
         Ok(())
     }
 
@@ -114,20 +130,16 @@ impl TcpConn {
         Ok((lane, buf.freeze()))
     }
 
-    /// Read frames until one on `want` appears, buffering others.
+    /// Read frames until one on `want` appears, parking others as they
+    /// arrived (frames of either lane stay in their pool buffers).
     fn next_on_lane(&mut self, want: u8) -> TResult<ZcBytes> {
         loop {
-            if want == LANE_CONTROL {
-                if let Some(m) = self.pending_control.pop_front() {
-                    return Ok({
-                        // zc-audit: allow(taint-alloc) — sized by control bytes already received and held; read_frame bounds every frame to MAX_TCP_FRAME
-                        let mut b = zc_buffers::AlignedBuf::with_capacity(m.len());
-                        // zc-audit: allow(copy) — queued control bytes rewrapped into aligned storage; accounted as SocketRecv
-                        b.extend_from_slice(&m);
-                        ZcBytes::from_aligned(b)
-                    });
-                }
-            } else if let Some(z) = self.pending_data.pop_front() {
+            let parked = if want == LANE_CONTROL {
+                self.pending_control.pop_front()
+            } else {
+                self.pending_data.pop_front()
+            };
+            if let Some(z) = parked {
                 return Ok(z);
             }
             let (lane, payload) = self.read_frame()?;
@@ -135,8 +147,7 @@ impl TcpConn {
                 return Ok(payload);
             }
             match lane {
-                // zc-audit: allow(copy) — out-of-order control frame parked as owned bytes; accounted as SocketRecv
-                LANE_CONTROL => self.pending_control.push_back(payload.as_slice().to_vec()),
+                LANE_CONTROL => self.pending_control.push_back(payload),
                 LANE_DATA => self.pending_data.push_back(payload),
                 other => {
                     // zc-audit: allow(control-plane) — protocol error diagnostic
@@ -150,25 +161,25 @@ impl TcpConn {
 }
 
 impl Connection for TcpConn {
-    fn send_control(&mut self, msg: &[u8]) -> TResult<()> {
+    fn send_control(&mut self, parts: &[&[u8]]) -> TResult<()> {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
         self.stats.add(TransportField::ControlSent, 1);
-        self.stats.add(TransportField::BytesSent, msg.len() as u64);
-        self.write_frame(LANE_CONTROL, msg)
+        self.stats.add(TransportField::BytesSent, len as u64);
+        self.write_frame(LANE_CONTROL, parts)
     }
 
-    fn recv_control(&mut self) -> TResult<Vec<u8>> {
+    fn recv_control(&mut self) -> TResult<ZcBytes> {
         let z = self.next_on_lane(LANE_CONTROL)?;
         self.stats.add(TransportField::ControlRecv, 1);
         self.stats.add(TransportField::BytesRecv, z.len() as u64);
-        // zc-audit: allow(copy) — control path hands out owned bytes; accounted as SocketRecv
-        Ok(z.as_slice().to_vec())
+        Ok(z)
     }
 
     fn send_data(&mut self, block: &ZcBytes) -> TResult<()> {
         self.stats.add(TransportField::DataBlocksSent, 1);
         self.stats
             .add(TransportField::BytesSent, block.len() as u64);
-        self.write_frame(LANE_DATA, block.as_slice())
+        self.write_frame(LANE_DATA, &[block.as_slice()])
     }
 
     fn recv_data(&mut self, expected_len: usize) -> TResult<ZcBytes> {
@@ -210,6 +221,21 @@ impl Connection for TcpConn {
     fn trace_conn_id(&self) -> u64 {
         self.trace_conn
     }
+}
+
+/// `write_all` for a gather list: retry short and interrupted writes,
+/// advancing past what the kernel took.
+fn write_all_vectored(stream: &mut TcpStream, mut bufs: &mut [IoSlice<'_>]) -> TResult<()> {
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match stream.write_vectored(bufs) {
+            Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(())
 }
 
 /// A bound TCP listener.
@@ -277,10 +303,10 @@ mod tests {
     #[test]
     fn control_roundtrip() {
         let (mut c, mut s, _ctx) = pair();
-        c.send_control(b"over real tcp").unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"over real tcp");
-        s.send_control(b"reply").unwrap();
-        assert_eq!(c.recv_control().unwrap(), b"reply");
+        c.send_control(&[b"over real tcp".as_slice()]).unwrap();
+        assert_eq!(s.recv_control().unwrap().as_slice(), b"over real tcp");
+        s.send_control(&[b"reply".as_slice()]).unwrap();
+        assert_eq!(c.recv_control().unwrap().as_slice(), b"reply");
     }
 
     #[test]
@@ -304,11 +330,29 @@ mod tests {
     }
 
     #[test]
+    fn gathered_parts_arrive_as_one_message() {
+        let (mut c, mut s, ctx) = pair();
+        let before = ctx.meter.snapshot();
+        c.send_control(&[b"gat".as_slice(), b"", b"her"]).unwrap();
+        // More parts than one vectored write takes: sent in rounds.
+        let many: Vec<[u8; 1]> = (0..20u8).map(|i| [i]).collect();
+        let parts: Vec<&[u8]> = many.iter().map(|p| p.as_slice()).collect();
+        c.send_control(&parts).unwrap();
+        assert_eq!(s.recv_control().unwrap().as_slice(), b"gather");
+        let got = s.recv_control().unwrap();
+        assert_eq!(got.as_slice(), (0..20u8).collect::<Vec<_>>().as_slice());
+        let d = ctx.meter.snapshot().since(&before);
+        assert_eq!(d.bytes(CopyLayer::SocketSend), 26);
+        assert_eq!(d.bytes(CopyLayer::SocketRecv), 26);
+        assert_eq!(c.stats().frames_sent, 2);
+    }
+
+    #[test]
     fn interleaved_lanes_buffer_correctly() {
         let (mut c, mut s, _ctx) = pair();
         c.send_data(&ZcBytes::zeroed(5000)).unwrap();
-        c.send_control(b"ctrl").unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"ctrl");
+        c.send_control(&[b"ctrl".as_slice()]).unwrap();
+        assert_eq!(s.recv_control().unwrap().as_slice(), b"ctrl");
         assert_eq!(s.recv_data(5000).unwrap().len(), 5000);
     }
 
@@ -343,9 +387,9 @@ mod tests {
     #[test]
     fn empty_payloads() {
         let (mut c, mut s, _ctx) = pair();
-        c.send_control(b"").unwrap();
+        c.send_control(&[b"".as_slice()]).unwrap();
         c.send_data(&ZcBytes::empty()).unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"");
+        assert_eq!(s.recv_control().unwrap().as_slice(), b"");
         assert_eq!(s.recv_data(0).unwrap().len(), 0);
     }
 }

@@ -54,10 +54,11 @@ proptest! {
     ) {
         let (mut c, mut s) = pair(cfg);
         for m in &msgs {
-            c.send_control(m).unwrap();
+            c.send_control(&[m.as_slice()]).unwrap();
         }
         for m in &msgs {
-            prop_assert_eq!(&s.recv_control().unwrap(), m);
+            let got = s.recv_control().unwrap();
+            prop_assert_eq!(got.as_slice(), m.as_slice());
         }
     }
 
@@ -75,7 +76,7 @@ proptest! {
         for (i, &(is_control, size)) in script.iter().enumerate() {
             let payload: Vec<u8> = (0..size).map(|j| ((i * 31 + j) % 251) as u8).collect();
             if is_control {
-                c.send_control(&payload).unwrap();
+                c.send_control(&[payload.as_slice()]).unwrap();
                 controls.push(payload);
             } else {
                 c.send_data(&block_of(&payload)).unwrap();
@@ -84,7 +85,7 @@ proptest! {
         }
         let check_controls = |s: &mut Box<dyn Connection>| {
             for m in &controls {
-                assert_eq!(&s.recv_control().unwrap(), m);
+                assert_eq!(s.recv_control().unwrap().as_slice(), m.as_slice());
             }
         };
         let check_datas = |s: &mut Box<dyn Connection>| {

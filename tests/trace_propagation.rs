@@ -152,8 +152,8 @@ fn telemetry_snapshot_merges_all_sources() {
 fn unknown_service_context_is_ignored_not_rejected() {
     use zcorba::cdr::{ByteOrder, CdrDecoder, CdrEncoder};
     use zcorba::giop::{
-        fragment_frames, GiopHeader, Handshake, MessageType, ReplyHeader, ReplyStatus,
-        RequestHeader, ServiceContext, TraceContext, GIOP_HEADER_LEN,
+        GiopHeader, Handshake, MessageType, ReplyHeader, ReplyStatus, RequestHeader,
+        ServiceContext, TraceContext, GIOP_HEADER_LEN,
     };
     use zcorba::transport::TransportCtx;
 
@@ -169,7 +169,8 @@ fn unknown_service_context_is_ignored_not_rejected() {
     // Raw transport connection, no GiopConn on our side: we are the
     // "foreign peer" composing messages by hand.
     let mut conn = net.connect(server.port(), TransportCtx::new()).unwrap();
-    conn.send_control(&Handshake::foreign().encode()).unwrap();
+    conn.send_control(&[Handshake::foreign().encode().as_slice()])
+        .unwrap();
     let _server_handshake = conn.recv_control().unwrap();
 
     let order = ByteOrder::Big; // the GIOP frame flags carry the order
@@ -191,15 +192,13 @@ fn unknown_service_context_is_ignored_not_rejected() {
     enc.align(8);
     enc.write_octet_seq(&[1, 2, 3, 4]); // echo_std's OctetSeq argument
     let body = enc.finish_stream();
-    for frame in fragment_frames(
+    let giop_header = GiopHeader::new(
         zcorba::giop::GiopVersion::V1_2,
         order,
         MessageType::Request,
-        &body,
-        4 << 20,
-    ) {
-        conn.send_control(&frame).unwrap();
-    }
+        body.len() as u32,
+    );
+    conn.send_control(&[&giop_header.encode(), &body]).unwrap();
 
     let raw = conn.recv_control().unwrap();
     let hdr_bytes: [u8; GIOP_HEADER_LEN] = raw[..GIOP_HEADER_LEN].try_into().unwrap();
