@@ -14,6 +14,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use zc_bench::cli;
 use zc_buffers::{CopyLayer, CopyMeter, ZcBytes};
 use zc_cdr::ZcOctetSeq;
 use zc_orb::{ObjectAdapterExt, Orb, OrbResult, Servant, ServerRequest};
@@ -101,6 +102,11 @@ fn print(o: &Outcome) {
 }
 
 fn main() {
+    cli::Args::parse(
+        "ablations",
+        "Ablations A1-A4: the design arguments, measured as a 1 MiB echo on this host.",
+        &[],
+    );
     println!("## Ablations A1–A4 — 1 MiB echo ×{ROUNDS}, measured on this host\n");
 
     let aligned = ZcBytes::zeroed(BLOCK);

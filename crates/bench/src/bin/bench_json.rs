@@ -16,6 +16,7 @@
 
 use std::path::PathBuf;
 
+use zc_bench::cli;
 use zc_bench::trajectory::{unix_ms, GoodputPoint, LatencyPoint};
 use zc_bench::{
     compare, find_baseline, overload_sweep, parse_json, run_breakdown, OverloadParams,
@@ -23,14 +24,31 @@ use zc_bench::{
 };
 use zc_ttcp::{run_latency, run_measured, run_modeled, TtcpParams, TtcpTransport, TtcpVersion};
 
-fn arg_value(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let advisory = std::env::args().any(|a| a == "--advisory");
-    let out_path = PathBuf::from(arg_value("--out").unwrap_or_else(|| "BENCH_PR9.json".into()));
+    let args = cli::Args::parse(
+        "bench_json",
+        "One trajectory point: regenerate the sweeps, write BENCH_*.json, compare to a baseline.",
+        &[
+            cli::switch("--smoke", "CI-sized run"),
+            cli::switch(
+                "--advisory",
+                "report regressions but never fail the exit code",
+            ),
+            cli::option(
+                "--out",
+                "FILE",
+                "the snapshot to write (default BENCH_PR9.json)",
+            ),
+            cli::option(
+                "--baseline",
+                "FILE",
+                "compare against FILE instead of the newest prior",
+            ),
+        ],
+    );
+    let smoke = args.has("--smoke");
+    let advisory = args.has("--advisory");
+    let out_path = PathBuf::from(args.value("--out").unwrap_or("BENCH_PR9.json"));
     let label = out_path
         .file_stem()
         .and_then(|s| s.to_str())
@@ -128,7 +146,7 @@ fn main() {
     println!("wrote {}", out_path.display());
 
     // ---- baseline comparison ----
-    let baseline_path = arg_value("--baseline").map(PathBuf::from).or_else(|| {
+    let baseline_path = args.value("--baseline").map(PathBuf::from).or_else(|| {
         let dir = out_path
             .parent()
             .filter(|p| !p.as_os_str().is_empty())

@@ -4,7 +4,7 @@
 //!
 //! `--json` emits one JSON object per row in the shared format.
 
-use zc_bench::{json_flag, report::json_escape};
+use zc_bench::{cli, report::json_escape};
 use zc_simnet::{cpu_utilization, predict, LinkSpec, MachineSpec, OrbMode, Scenario, SocketMode};
 
 fn row(machine: MachineSpec, socket: SocketMode, orb: OrbMode, json: bool) {
@@ -39,7 +39,12 @@ fn row(machine: MachineSpec, socket: SocketMode, orb: OrbMode, json: bool) {
 }
 
 fn main() {
-    let json = json_flag();
+    let args = cli::Args::parse(
+        "cpu_utilization",
+        "E6: CPU utilization at 16 MiB blocks over Gigabit Ethernet, on the calibrated model.",
+        &[cli::JSON],
+    );
+    let json = args.has("--json");
     if !json {
         println!("## E6 — CPU utilization at 16 MiB blocks over GbE\n");
     }

@@ -34,6 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use zc_bench::cli;
 use zc_giop::Ior;
 use zc_orb::{AdmissionConfig, ObjectAdapterExt, Orb, OrbError, OrbResult, Servant, ServerRequest};
 
@@ -153,35 +154,50 @@ fn run_journey_demo(telemetry: &Arc<zc_trace::Telemetry>) {
     }
 }
 
-fn arg_value(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
-}
-
-fn arg_num<T: std::str::FromStr>(name: &str, default: T) -> T {
-    arg_value(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let port: u16 = arg_num("--port", 0);
-    let load_threads: usize = arg_num("--load", 2);
-    let block_kib: usize = arg_num("--block-kib", 256);
-    let duration_secs: u64 = arg_num("--duration-secs", 0);
-    let admit_requests: u64 = arg_num("--admit-requests", 0);
-    let admit_bytes: u64 = arg_num(
+    let args = cli::Args::parse(
+        "demo_server",
+        "A self-loading TCP demo ORB with telemetry on, for zc-top and zc_flame.",
+        &[
+            cli::option("--port", "N", "listen port (default 0: any free port)"),
+            cli::option("--load", "N", "loopback client threads (default 2)"),
+            cli::option(
+                "--block-kib",
+                "N",
+                "block size each client sends (default 256)",
+            ),
+            cli::option(
+                "--duration-secs",
+                "N",
+                "stop after N seconds (default 0: run forever)",
+            ),
+            cli::option(
+                "--admit-requests",
+                "N",
+                "admission bound on requests (default off)",
+            ),
+            cli::option("--admit-bytes", "N", "admission bound on bytes in flight"),
+            cli::option("--spool", "DIR", "write a trace spool to DIR"),
+        ],
+    );
+    let port: u16 = args.parsed("--port", 0);
+    let load_threads: usize = args.parsed("--load", 2);
+    let block_kib: usize = args.parsed("--block-kib", 256);
+    let duration_secs: u64 = args.parsed("--duration-secs", 0);
+    let admit_requests: u64 = args.parsed("--admit-requests", 0);
+    let admit_bytes: u64 = args.parsed(
         "--admit-bytes",
         admit_requests.saturating_mul((block_kib as u64) << 10),
     );
 
-    let spool_dir = arg_value("--spool");
+    let spool_dir = args.value("--spool");
 
     let telemetry = zc_trace::Telemetry::with_capacity(4096);
     let mut builder = Orb::builder().tcp().telemetry(Arc::clone(&telemetry));
     if admit_requests > 0 {
         builder = builder.admission(AdmissionConfig::bounded(admit_requests, admit_bytes));
     }
-    if let Some(dir) = &spool_dir {
+    if let Some(dir) = spool_dir {
         builder = builder.trace_spool(zc_trace::SpoolConfig::new(dir));
     }
     let server_orb = builder.build();

@@ -8,14 +8,18 @@
 
 use zc_bench::report::series_json;
 use zc_bench::{
-    full_flag, json_flag, measured_block_sizes, measured_series_traced, modeled_series,
-    print_telemetry, trace_flag,
+    cli, measured_block_sizes, measured_series_traced, modeled_series, print_telemetry,
 };
 use zc_ttcp::{format_series_table, TtcpVersion};
 
 fn main() {
-    let traced = trace_flag();
-    let json = json_flag();
+    let args = cli::Args::parse(
+        "fig5",
+        "Figure 5: TTCP bandwidths for unoptimized sockets and CORBA, modeled and measured.",
+        &[cli::JSON, cli::FULL, cli::NO_TRACE],
+    );
+    let traced = !args.has("--no-trace");
+    let json = args.has("--json");
     let sizes = zc_simnet::paper_block_sizes();
     let modeled = [
         modeled_series(TtcpVersion::RawTcp, &sizes),
@@ -28,7 +32,7 @@ fn main() {
         println!("{}", format_series_table(title_m, &sizes, &modeled));
     }
 
-    let msizes = measured_block_sizes(full_flag());
+    let msizes = measured_block_sizes(args.has("--full"));
     let (raw, _) = measured_series_traced(TtcpVersion::RawTcp, &msizes, traced);
     let (std, telemetry) = measured_series_traced(TtcpVersion::CorbaStd, &msizes, traced);
     let title_h = "Figure 5 — same configurations executed on this host (real copies)";

@@ -11,14 +11,18 @@
 
 use zc_bench::report::series_json;
 use zc_bench::{
-    full_flag, json_flag, measured_block_sizes, measured_series_traced, modeled_series,
-    print_telemetry, trace_flag,
+    cli, measured_block_sizes, measured_series_traced, modeled_series, print_telemetry,
 };
 use zc_ttcp::{format_series_table, run_modeled, TtcpVersion};
 
 fn main() {
-    let traced = trace_flag();
-    let json = json_flag();
+    let args = cli::Args::parse(
+        "fig6_orb",
+        "Figure 6 (right): standard vs zero-copy ORB over both TCP stacks, modeled and measured.",
+        &[cli::JSON, cli::FULL, cli::NO_TRACE],
+    );
+    let traced = !args.has("--no-trace");
+    let json = args.has("--json");
     let sizes = zc_simnet::paper_block_sizes();
     let modeled = [
         modeled_series(TtcpVersion::CorbaStd, &sizes),
@@ -40,7 +44,7 @@ fn main() {
         );
     }
 
-    let msizes = measured_block_sizes(full_flag());
+    let msizes = measured_block_sizes(args.has("--full"));
     let (s1, _) = measured_series_traced(TtcpVersion::CorbaStd, &msizes, traced);
     let (s2, _) = measured_series_traced(TtcpVersion::CorbaStdOverZcTcp, &msizes, traced);
     let (s3, _) = measured_series_traced(TtcpVersion::CorbaZcOverTcp, &msizes, traced);

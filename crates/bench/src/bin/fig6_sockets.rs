@@ -10,14 +10,18 @@
 
 use zc_bench::report::series_json;
 use zc_bench::{
-    full_flag, json_flag, measured_block_sizes, measured_series_traced, modeled_series,
-    print_telemetry, trace_flag,
+    cli, measured_block_sizes, measured_series_traced, modeled_series, print_telemetry,
 };
 use zc_ttcp::{format_series_table, TtcpVersion};
 
 fn main() {
-    let traced = trace_flag();
-    let json = json_flag();
+    let args = cli::Args::parse(
+        "fig6_sockets",
+        "Figure 6 (left): raw TCP over the conventional vs the zero-copy socket stack.",
+        &[cli::JSON, cli::FULL, cli::NO_TRACE],
+    );
+    let traced = !args.has("--no-trace");
+    let json = args.has("--json");
     let sizes = zc_simnet::paper_block_sizes();
     let modeled = [
         modeled_series(TtcpVersion::RawTcp, &sizes),
@@ -31,7 +35,7 @@ fn main() {
         println!("{}", format_series_table(title_m, &sizes, &modeled));
     }
 
-    let msizes = measured_block_sizes(full_flag());
+    let msizes = measured_block_sizes(args.has("--full"));
     let (raw, _) = measured_series_traced(TtcpVersion::RawTcp, &msizes, traced);
     let (zc, telemetry) = measured_series_traced(TtcpVersion::ZcTcp, &msizes, traced);
     let title_h = "Figure 6 (left) — same configurations executed on this host";

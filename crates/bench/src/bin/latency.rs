@@ -6,17 +6,21 @@
 //! cargo run -p zc-bench --bin latency --release [-- --rounds N] [--json]
 //! ```
 
-use zc_bench::json_flag;
+use zc_bench::cli;
 use zc_bench::report::latency_json;
 use zc_ttcp::{run_latency, TtcpVersion};
 
 fn main() {
-    let rounds = std::env::args()
-        .skip_while(|a| a != "--rounds")
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200);
-    let json = json_flag();
+    let args = cli::Args::parse(
+        "latency",
+        "Round-trip latency percentiles per TTCP version on this host.",
+        &[
+            cli::option("--rounds", "N", "round trips per cell (default 200)"),
+            cli::JSON,
+        ],
+    );
+    let rounds = args.parsed("--rounds", 200);
+    let json = args.has("--json");
 
     if !json {
         println!("## round-trip latency on this host ({rounds} rounds per cell)\n");

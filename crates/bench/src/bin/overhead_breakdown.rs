@@ -13,22 +13,35 @@
 //! `--tcp` measures over real loopback TCP instead of the simulated
 //! kernel stacks (the span layer works identically over both).
 
-use zc_bench::{json_flag, render_breakdown_json, render_breakdown_text, run_breakdown};
+use zc_bench::cli::{self, switch};
+use zc_bench::{render_breakdown_json, render_breakdown_text, run_breakdown};
 use zc_ttcp::TtcpTransport;
 
 fn main() {
-    let (block, total) = if zc_bench::full_flag() {
+    let args = cli::Args::parse(
+        "overhead_breakdown",
+        "Where the standard ORB's time goes: stage latencies, copy bytes and the modeled budget.",
+        &[
+            cli::JSON,
+            switch("--full", "paper-scale 1 MiB blocks over 16 MiB"),
+            switch(
+                "--tcp",
+                "measure over loopback TCP instead of the simulated stacks",
+            ),
+        ],
+    );
+    let (block, total) = if args.has("--full") {
         (1 << 20, 16 << 20)
     } else {
         (256 << 10, 4 << 20)
     };
-    let transport = if std::env::args().any(|a| a == "--tcp") {
+    let transport = if args.has("--tcp") {
         TtcpTransport::Tcp
     } else {
         TtcpTransport::Sim
     };
     let b = run_breakdown(block, total, transport);
-    if json_flag() {
+    if args.has("--json") {
         println!("{}", render_breakdown_json(&b));
     } else {
         print!("{}", render_breakdown_text(&b));

@@ -19,21 +19,26 @@
 
 use std::path::PathBuf;
 
+use zc_bench::cli;
 use zc_bench::overload::OverloadMode;
 use zc_bench::trajectory::{OVERLOAD_PLATEAU_GATE, OVERLOAD_PLATEAU_GATE_SMOKE};
 use zc_bench::{overload_sweep, OverloadCurve, OverloadParams};
 
-fn arg_value(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let json = std::env::args().any(|a| a == "--json");
-    let out = arg_value("--out").map(PathBuf::from);
-    let seed = arg_value("--seed")
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(42);
+    let args = cli::Args::parse(
+        "overload_curve",
+        "Goodput vs offered load, with and without admission control.",
+        &[
+            cli::switch("--smoke", "CI-sized sweep"),
+            cli::switch("--json", "the curve as JSON on stdout"),
+            cli::option("--out", "FILE", "write the curve as JSON to FILE"),
+            cli::option("--seed", "N", "arrival-process seed (default 42)"),
+        ],
+    );
+    let smoke = args.has("--smoke");
+    let json = args.has("--json");
+    let out = args.value("--out").map(PathBuf::from);
+    let seed: u64 = args.parsed("--seed", 42);
 
     let params = if smoke {
         OverloadParams::smoke(seed)

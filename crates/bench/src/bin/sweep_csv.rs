@@ -23,7 +23,7 @@
 
 use zc_bench::trajectory::{goodput_json, GoodputPoint};
 use zc_bench::{
-    fault_sweep_csv_header, fault_sweep_point, json_flag, measured_block_sizes, measured_point,
+    cli, fault_sweep_csv_header, fault_sweep_point, measured_block_sizes, measured_point,
 };
 use zc_buffers::CopyLayer;
 use zc_simnet::{run_sweep, LinkSpec, MachineSpec, FIGURE_CONFIGS};
@@ -31,10 +31,23 @@ use zc_trace::Stage;
 use zc_ttcp::{run_modeled, TtcpVersion};
 
 fn main() {
-    let modern = std::env::args().any(|a| a == "--modern");
-    let modeled_only = std::env::args().any(|a| a == "--modeled-only");
-    let fault_only = std::env::args().any(|a| a == "--fault-only");
-    let json = json_flag();
+    let args = cli::Args::parse(
+        "sweep_csv",
+        "The figure sweep (modeled, measured, fault) as CSV, or JSON lines with --json.",
+        &[
+            cli::switch(
+                "--modern",
+                "model the 2003 machine instead of the Pentium II",
+            ),
+            cli::switch("--modeled-only", "skip the measured and fault sections"),
+            cli::switch("--fault-only", "only the fault section"),
+            cli::JSON,
+        ],
+    );
+    let modern = args.has("--modern");
+    let modeled_only = args.has("--modeled-only");
+    let fault_only = args.has("--fault-only");
+    let json = args.has("--json");
     if !fault_only {
         let machine = if modern {
             MachineSpec::modern_2003()

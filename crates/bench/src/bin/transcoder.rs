@@ -11,11 +11,20 @@
 //! HDTV is additionally evaluated on the calibrated testbed model, where
 //! the communication budget is the paper's.
 
+use zc_bench::cli;
 use zc_mpeg::{EncoderConfig, FarmParams, PayloadMode, TranscodeFarm, VideoFormat};
 use zc_ttcp::{run_modeled, TtcpVersion};
 
 fn main() {
-    let hdtv = std::env::args().any(|a| a == "--hdtv");
+    let args = cli::Args::parse(
+        "transcoder",
+        "E5: the distributed MPEG transcoding farm, standard vs zero-copy data path.",
+        &[cli::switch(
+            "--hdtv",
+            "full 1920x1088 frames (substantial compute)",
+        )],
+    );
+    let hdtv = args.has("--hdtv");
     let format = if hdtv {
         VideoFormat::HDTV_1080
     } else {

@@ -15,26 +15,30 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use zc_bench::cli;
 use zc_bench::flame::{analyze_spool_dir, render_json, render_text};
 
-fn arg_value(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
-}
-
-fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
 fn main() -> ExitCode {
-    let Some(dir) = arg_value("--dir") else {
-        eprintln!("usage: zc_flame --dir SPOOL_DIR [--json] [--out FILE] [--top N]");
-        return ExitCode::FAILURE;
+    let args = cli::Args::parse(
+        "zc_flame",
+        "Offline critical-path analysis of the trace-spool segments under --dir.",
+        &[
+            cli::option(
+                "--dir",
+                "SPOOL_DIR",
+                "the spool directory to read (required)",
+            ),
+            cli::switch("--json", "the zcorba-flame/v1 machine summary"),
+            cli::option("--out", "FILE", "write to FILE instead of stdout"),
+            cli::option("--top", "N", "journeys shown in detail (default 10)"),
+        ],
+    );
+    let Some(dir) = args.value("--dir") else {
+        args.usage_error("--dir is required");
     };
-    let top: usize = arg_value("--top")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
+    let top: usize = args.parsed("--top", 10);
 
-    let analysis = match analyze_spool_dir(&PathBuf::from(&dir)) {
+    let analysis = match analyze_spool_dir(&PathBuf::from(dir)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("zc_flame: {dir}: {e}");
@@ -42,15 +46,15 @@ fn main() -> ExitCode {
         }
     };
 
-    let rendered = if arg_flag("--json") {
+    let rendered = if args.has("--json") {
         render_json(&analysis, top)
     } else {
         render_text(&analysis, top)
     };
 
-    match arg_value("--out") {
+    match args.value("--out") {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, rendered.as_bytes()) {
+            if let Err(e) = std::fs::write(path, rendered.as_bytes()) {
                 eprintln!("zc_flame: write {path}: {e}");
                 return ExitCode::FAILURE;
             }

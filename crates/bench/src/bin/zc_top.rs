@@ -23,14 +23,11 @@
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
+use zc_bench::cli;
 use zc_bench::top::{
     delta, render_frame, render_once_json, TopDelta, TopSample, REQUIRED_JSON_KEYS,
 };
 use zc_orb::{Orb, TelemetryClient};
-
-fn arg_value(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
-}
 
 fn poll(client: &TelemetryClient) -> Result<TopSample, String> {
     let text = client
@@ -40,19 +37,38 @@ fn poll(client: &TelemetryClient) -> Result<TopSample, String> {
 }
 
 fn main() {
+    let args = cli::Args::parse(
+        "zc-top",
+        "A terminal dashboard over a live server's _ZcTelemetry object.",
+        &[
+            cli::option("--connect", "HOST:PORT", "the server to poll (required)"),
+            cli::option("--interval-ms", "N", "poll interval (default 1000)"),
+            cli::option(
+                "--frames",
+                "N",
+                "stop after N frames (default: run until killed)",
+            ),
+            cli::switch("--once", "two closely spaced polls, one summary, exit"),
+            cli::switch(
+                "--json",
+                "machine output (zcorba-top/v1), one object per frame",
+            ),
+            cli::switch(
+                "--keys",
+                "print the --once --json schema's required keys and exit",
+            ),
+        ],
+    );
     // `--keys` needs no server: print the `--once --json` schema contract
     // (one key per line) for scripts and CI to assert against.
-    if std::env::args().any(|a| a == "--keys") {
+    if args.has("--keys") {
         for key in REQUIRED_JSON_KEYS {
             println!("{key}");
         }
         return;
     }
-    let Some(endpoint) = arg_value("--connect") else {
-        eprintln!(
-            "usage: zc-top --connect HOST:PORT [--interval-ms N] [--frames N] [--once] [--json]"
-        );
-        std::process::exit(2);
+    let Some(endpoint) = args.value("--connect") else {
+        args.usage_error("--connect is required");
     };
     let Some((host, port)) = endpoint.rsplit_once(':') else {
         eprintln!("zc-top: --connect wants HOST:PORT, got {endpoint:?}");
@@ -62,16 +78,10 @@ fn main() {
         eprintln!("zc-top: bad port in {endpoint:?}");
         std::process::exit(2);
     };
-    let once = std::env::args().any(|a| a == "--once");
-    let json = std::env::args().any(|a| a == "--json");
-    let interval = Duration::from_millis(
-        arg_value("--interval-ms")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1000),
-    );
-    let frames: u64 = arg_value("--frames")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    let once = args.has("--once");
+    let json = args.has("--json");
+    let interval = Duration::from_millis(args.parsed("--interval-ms", 1000));
+    let frames: u64 = args.parsed("--frames", 0);
 
     let orb = Orb::builder().tcp().build();
     let client = match TelemetryClient::connect(&orb, host, port) {
@@ -92,9 +102,9 @@ fn main() {
             let second = poll(&client)?;
             let d = delta(&first, &second, t0.elapsed().as_secs_f64());
             if json {
-                println!("{}", render_once_json(&second, &d, &endpoint));
+                println!("{}", render_once_json(&second, &d, endpoint));
             } else {
-                print!("{}", render_frame(&second, Some(&d), &endpoint));
+                print!("{}", render_frame(&second, Some(&d), endpoint));
             }
             return Ok(());
         }
@@ -109,13 +119,13 @@ fn main() {
             if json {
                 println!(
                     "{}",
-                    render_once_json(&sample, &d.unwrap_or_default(), &endpoint)
+                    render_once_json(&sample, &d.unwrap_or_default(), endpoint)
                 );
             } else {
                 // Clear + home, then the frame: a cheap full-screen refresh.
                 print!(
                     "\x1b[2J\x1b[H{}",
-                    render_frame(&sample, d.as_ref(), &endpoint)
+                    render_frame(&sample, d.as_ref(), endpoint)
                 );
                 let _ = std::io::stdout().flush();
             }

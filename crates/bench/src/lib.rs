@@ -10,6 +10,7 @@
 //!    copies are real `memcpy`s; absolute numbers reflect *this* machine,
 //!    but the ordering and the copy accounting must tell the same story.
 
+pub mod cli;
 pub mod flame;
 pub mod overload;
 pub mod report;
@@ -26,8 +27,8 @@ pub use overload::{
 };
 
 pub use report::{
-    json_flag, print_telemetry, render_breakdown_json, render_breakdown_text, run_breakdown,
-    Breakdown, BreakdownColumn, BREAKDOWN_CONFIGS,
+    print_telemetry, render_breakdown_json, render_breakdown_text, run_breakdown, Breakdown,
+    BreakdownColumn, BREAKDOWN_CONFIGS,
 };
 pub use trajectory::{
     compare, find_baseline, parse_json, Json, TrajectorySnapshot, Verdict, SCHEMA,
@@ -95,17 +96,6 @@ pub fn measured_series_traced(
         Series::new(format!("{} (host)", version.label()), values),
         last,
     )
-}
-
-/// Parse the common harness flags: `--full` widens the measured sweep.
-pub fn full_flag() -> bool {
-    std::env::args().any(|a| a == "--full")
-}
-
-/// `--no-trace` turns the measured runs' telemetry off (fig5/fig6 trace by
-/// default to exercise the observability path alongside the benchmark).
-pub fn trace_flag() -> bool {
-    !std::env::args().any(|a| a == "--no-trace")
 }
 
 // ---------------------------------------------------------------------------

@@ -369,12 +369,6 @@ pub fn print_telemetry(label: &str, t: &zc_trace::OrbTelemetry, json: bool) {
     }
 }
 
-/// The common `--json` flag: every harness binary switches its report
-/// format with it.
-pub fn json_flag() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
-
 /// Escape a string for embedding in JSON output.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());

@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use crate::aligned::{AlignedBuf, PAGE_SIZE};
 use crate::zbytes::{Storage, ZcBytes};
 
-/// Pool statistics (monotonic counters plus a point-in-time gauge).
+/// Pool statistics (monotonic counters plus point-in-time gauges).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// Buffers handed out that had to be freshly allocated.
@@ -28,34 +28,74 @@ pub struct PoolStats {
     pub returns: u64,
     /// Buffers dropped instead of retained (free list full).
     pub discards: u64,
-    /// Bytes currently retained on free lists.
+    /// Bytes currently held idle against the retention bound: buffers on
+    /// the free lists plus buffers charged by their holders
+    /// ([`PagePool::charge`]).
     pub retained_bytes: u64,
+    /// Spare `ZcBytes` reference-count nodes waiting to be reused.
+    pub spare_nodes: u64,
+}
+
+/// Most spare reference-count nodes a pool keeps. A node is a few dozen
+/// bytes; this covers every view a busy ORB has in flight at once.
+const MAX_SPARE_NODES: usize = 256;
+
+/// What the free-list lock guards.
+#[derive(Default)]
+struct FreeLists {
+    /// Free buffers keyed by capacity (each a multiple of the page size).
+    bufs: BTreeMap<usize, Vec<AlignedBuf>>,
+    /// Emptied `ZcBytes` storage nodes, each with no other owner.
+    nodes: Vec<Arc<Storage>>,
 }
 
 pub(crate) struct PoolInner {
-    /// Free lists keyed by capacity (each a multiple of the page size).
-    free: Mutex<BTreeMap<usize, Vec<AlignedBuf>>>,
-    /// Maximum bytes kept on free lists before returns are discarded.
+    free: Mutex<FreeLists>,
+    /// Maximum bytes held idle (free lists plus charges) before returns
+    /// are discarded and charges refused.
     max_retained_bytes: usize,
     fresh: AtomicU64,
     reuses: AtomicU64,
     returns: AtomicU64,
     discards: AtomicU64,
+    /// Raised only under the `free` lock, so the bound check and the
+    /// increase are one step; lowered and read without it.
     retained: AtomicU64,
+    spare_nodes: AtomicU64,
 }
 
 impl PoolInner {
-    pub(crate) fn release(&self, mut buf: AlignedBuf) {
+    /// Count `bytes` against the retention bound if they fit. Call with
+    /// the `free` lock held.
+    fn try_retain(&self, bytes: usize) -> bool {
+        let retained = self.retained.load(Ordering::Relaxed) as usize;
+        if retained.saturating_add(bytes) > self.max_retained_bytes {
+            return false;
+        }
+        self.retained.fetch_add(bytes as u64, Ordering::Relaxed);
+        true
+    }
+
+    /// Take back `buf` and, when the last view of a frozen buffer let go,
+    /// the emptied storage `node` that carried it. Each is kept while its
+    /// list has room; otherwise it is freed once the lock is released.
+    pub(crate) fn release(&self, mut buf: AlignedBuf, mut node: Option<Arc<Storage>>) {
         buf.clear();
         let cap = buf.capacity();
-        let retained = self.retained.load(Ordering::Relaxed) as usize;
-        if retained + cap > self.max_retained_bytes {
-            self.discards.fetch_add(1, Ordering::Relaxed);
-            return; // drop the buffer, freeing its pages
+        let mut free = self.free.lock();
+        if free.nodes.len() < MAX_SPARE_NODES {
+            if let Some(n) = node.take() {
+                free.nodes.push(n);
+                self.spare_nodes.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        self.retained.fetch_add(cap as u64, Ordering::Relaxed);
+        if !self.try_retain(cap) {
+            drop(free);
+            self.discards.fetch_add(1, Ordering::Relaxed);
+            return; // drop the buffer (and any surplus node), freeing its pages
+        }
         self.returns.fetch_add(1, Ordering::Relaxed);
-        self.free.lock().entry(cap).or_default().push(buf);
+        free.bufs.entry(cap).or_default().push(buf);
     }
 
     fn acquire(&self, min_capacity: usize) -> AlignedBuf {
@@ -67,7 +107,7 @@ impl PoolInner {
             // the next `release` of that class allocate a fresh list (and
             // map node), so a lone buffer cycling through the pool would
             // cost two heap allocations per round trip.
-            if let Some(buf) = free.range_mut(want..).find_map(|(_, list)| list.pop()) {
+            if let Some(buf) = free.bufs.range_mut(want..).find_map(|(_, list)| list.pop()) {
                 self.retained
                     .fetch_sub(buf.capacity() as u64, Ordering::Relaxed);
                 self.reuses.fetch_add(1, Ordering::Relaxed);
@@ -76,6 +116,20 @@ impl PoolInner {
         }
         self.fresh.fetch_add(1, Ordering::Relaxed);
         AlignedBuf::with_capacity(want)
+    }
+
+    /// A storage node with no other owner, reused when one is spare. A
+    /// spare whose last view is still letting go of it is left to that
+    /// view to free.
+    fn node(&self) -> Arc<Storage> {
+        let spare = self.free.lock().nodes.pop();
+        if let Some(mut node) = spare {
+            self.spare_nodes.fetch_sub(1, Ordering::Relaxed);
+            if Arc::get_mut(&mut node).is_some() {
+                return node;
+            }
+        }
+        Arc::new(Storage::default())
     }
 }
 
@@ -86,27 +140,32 @@ fn size_class(min_capacity: usize) -> usize {
     pages.next_power_of_two() * PAGE_SIZE
 }
 
-/// A thread-safe recycling pool of [`AlignedBuf`]s.
+/// A thread-safe recycling pool of [`AlignedBuf`]s, and of the
+/// reference-count nodes of the [`ZcBytes`] frozen from them.
 #[derive(Clone)]
 pub struct PagePool {
     inner: Arc<PoolInner>,
 }
 
 impl PagePool {
-    /// Create a pool that retains at most `max_retained_bytes` on its free
-    /// lists (beyond that, returned buffers are freed immediately).
+    /// Create a pool that holds at most `max_retained_bytes` idle: on its
+    /// free lists plus charged by holders (beyond that, returned buffers
+    /// are freed immediately and charges are refused).
     pub fn new(max_retained_bytes: usize) -> PagePool {
-        PagePool {
-            inner: Arc::new(PoolInner {
-                free: Mutex::new(BTreeMap::new()),
-                max_retained_bytes,
-                fresh: AtomicU64::new(0),
-                reuses: AtomicU64::new(0),
-                returns: AtomicU64::new(0),
-                discards: AtomicU64::new(0),
-                retained: AtomicU64::new(0),
-            }),
-        }
+        PagePool::from_inner(Arc::new(PoolInner {
+            free: Mutex::new(FreeLists::default()),
+            max_retained_bytes,
+            fresh: AtomicU64::new(0),
+            reuses: AtomicU64::new(0),
+            returns: AtomicU64::new(0),
+            discards: AtomicU64::new(0),
+            retained: AtomicU64::new(0),
+            spare_nodes: AtomicU64::new(0),
+        }))
+    }
+
+    pub(crate) fn from_inner(inner: Arc<PoolInner>) -> PagePool {
+        PagePool { inner }
     }
 
     /// A pool sized for typical ORB use (64 MiB retained).
@@ -125,6 +184,30 @@ impl PagePool {
         }
     }
 
+    /// Count an idle buffer of `bytes` that its holder keeps outside the
+    /// pool (a connection's spare encode buffer) against the retention
+    /// bound. Returns `false`, charging nothing, when it does not fit: the
+    /// holder must then free the buffer. A successful charge stays until
+    /// [`PagePool::uncharge`] releases it.
+    pub fn charge(&self, bytes: usize) -> bool {
+        if bytes == 0 {
+            return true;
+        }
+        let _free = self.inner.free.lock();
+        self.inner.try_retain(bytes)
+    }
+
+    /// Release a charge of `bytes` made by [`PagePool::charge`], when the
+    /// buffer is taken back into use or freed. Needs no lock: a falling
+    /// gauge can only make a concurrent bound check more conservative.
+    pub fn uncharge(&self, bytes: usize) {
+        if bytes > 0 {
+            self.inner
+                .retained
+                .fetch_sub(bytes as u64, Ordering::Relaxed);
+        }
+    }
+
     /// Current statistics.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
@@ -133,6 +216,7 @@ impl PagePool {
             returns: self.inner.returns.load(Ordering::Relaxed),
             discards: self.inner.discards.load(Ordering::Relaxed),
             retained_bytes: self.inner.retained.load(Ordering::Relaxed),
+            spare_nodes: self.inner.spare_nodes.load(Ordering::Relaxed),
         }
     }
 }
@@ -158,18 +242,17 @@ pub struct PooledBuf {
 }
 
 impl PooledBuf {
-    /// Convert into an immutable shared view. O(1); the pages return to the
-    /// pool when the last `ZcBytes` clone is dropped.
+    /// Convert into an immutable shared view. O(1); the reference-count
+    /// node comes from the pool's spares when one is left, and the pages
+    /// and the node return to the pool when the last `ZcBytes` clone is
+    /// dropped.
     pub fn freeze(mut self) -> ZcBytes {
         let buf = self.buf.take().expect("buffer present until freeze/drop");
-        let len = buf.len();
-        ZcBytes::from_storage(
-            Storage {
-                buf: Some(buf),
-                pool: Some(Arc::clone(&self.pool)),
-            },
-            len,
-        )
+        let mut node = self.pool.node();
+        let storage = Arc::get_mut(&mut node).expect("PoolInner::node returns an unshared node");
+        storage.buf = Some(buf);
+        storage.pool = Some(Arc::clone(&self.pool));
+        ZcBytes::from_node(node)
     }
 
     fn buf(&self) -> &AlignedBuf {
@@ -197,7 +280,7 @@ impl std::ops::DerefMut for PooledBuf {
 impl Drop for PooledBuf {
     fn drop(&mut self) {
         if let Some(buf) = self.buf.take() {
-            self.pool.release(buf);
+            self.pool.release(buf, None);
         }
     }
 }
@@ -293,6 +376,46 @@ mod tests {
         assert_eq!(pool.stats().returns, 1, "returned after last view dropped");
         let again = pool.acquire(PAGE_SIZE);
         assert_eq!(again.as_ptr() as usize, addr);
+    }
+
+    #[test]
+    fn last_drop_returns_the_node_for_the_next_freeze() {
+        let pool = PagePool::new(1 << 20);
+        let first = pool.acquire(PAGE_SIZE).freeze();
+        let node = Arc::as_ptr(first.node());
+        let view = first.slice(..);
+        drop(first);
+        assert_eq!(pool.stats().spare_nodes, 0, "a live view holds the node");
+        drop(view);
+        assert_eq!(pool.stats().spare_nodes, 1);
+        let again = pool.acquire(PAGE_SIZE).freeze();
+        assert_eq!(Arc::as_ptr(again.node()), node, "node reused");
+        assert_eq!(pool.stats().spare_nodes, 0);
+    }
+
+    #[test]
+    fn spare_nodes_are_bounded() {
+        let pool = PagePool::new(1 << 30);
+        let views: Vec<ZcBytes> = (0..MAX_SPARE_NODES + 8)
+            .map(|_| pool.acquire(1).freeze())
+            .collect();
+        drop(views);
+        let s = pool.stats();
+        assert_eq!(s.spare_nodes, MAX_SPARE_NODES as u64);
+        assert_eq!(s.returns, MAX_SPARE_NODES as u64 + 8, "every page returns");
+    }
+
+    #[test]
+    fn charges_share_the_retention_bound() {
+        let pool = PagePool::new(4 * PAGE_SIZE);
+        assert!(pool.charge(3 * PAGE_SIZE));
+        assert_eq!(pool.stats().retained_bytes, 3 * PAGE_SIZE as u64);
+        assert!(!pool.charge(2 * PAGE_SIZE), "over the bound: refused");
+        drop(pool.acquire(2 * PAGE_SIZE));
+        assert_eq!(pool.stats().discards, 1, "no room left for the return");
+        pool.uncharge(3 * PAGE_SIZE);
+        assert_eq!(pool.stats().retained_bytes, 0);
+        assert!(pool.charge(4 * PAGE_SIZE));
     }
 
     #[test]

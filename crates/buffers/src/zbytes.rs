@@ -7,13 +7,16 @@ use std::sync::Arc;
 
 use crate::aligned::{AlignedBuf, PAGE_SIZE};
 use crate::meter::{CopyLayer, CopyMeter};
-use crate::pool::PoolInner;
+use crate::pool::{PagePool, PoolInner};
 
 /// Shared storage behind one or more `ZcBytes` views.
 ///
 /// When the storage originated in a [`crate::PagePool`], the final drop
 /// returns the underlying pages to the pool instead of freeing them — the
-/// "buffers under user/ORB control" principle of §3.2.
+/// "buffers under user/ORB control" principle of §3.2 — and the emptied
+/// node itself goes back with them, so the next freeze reuses it. A node
+/// resting in the pool holds neither a buffer nor a pool handle.
+#[derive(Default)]
 pub(crate) struct Storage {
     pub(crate) buf: Option<AlignedBuf>,
     pub(crate) pool: Option<Arc<PoolInner>>,
@@ -29,8 +32,10 @@ impl Storage {
 
 impl Drop for Storage {
     fn drop(&mut self) {
+        // Reached only when the node itself is freed: a last view that
+        // raced another to the drop, or a node the pool has no room for.
         if let (Some(pool), Some(buf)) = (self.pool.take(), self.buf.take()) {
-            pool.release(buf);
+            pool.release(buf, None);
         }
     }
 }
@@ -51,23 +56,25 @@ pub struct ZcBytes {
 impl ZcBytes {
     /// Wrap an owned aligned buffer (no copy).
     pub fn from_aligned(buf: AlignedBuf) -> ZcBytes {
-        let len = buf.len();
+        ZcBytes::from_node(Arc::new(Storage {
+            buf: Some(buf),
+            pool: None,
+        }))
+    }
+
+    /// A view of the whole buffer `node` holds.
+    pub(crate) fn from_node(node: Arc<Storage>) -> ZcBytes {
+        let len = node.buf().len();
         ZcBytes {
-            storage: Arc::new(Storage {
-                buf: Some(buf),
-                pool: None,
-            }),
+            storage: node,
             off: 0,
             len,
         }
     }
 
-    pub(crate) fn from_storage(storage: Storage, len: usize) -> ZcBytes {
-        ZcBytes {
-            storage: Arc::new(storage),
-            off: 0,
-            len,
-        }
+    #[cfg(test)]
+    pub(crate) fn node(&self) -> &Arc<Storage> {
+        &self.storage
     }
 
     /// A zero-length view (still backed by one page so the address is valid).
@@ -173,6 +180,14 @@ impl ZcBytes {
         self.storage.buf().as_ptr() as usize + self.off
     }
 
+    /// The pool this view's pages return to, if they came from one.
+    pub fn pool(&self) -> Option<PagePool> {
+        self.storage
+            .pool
+            .as_ref()
+            .map(|p| PagePool::from_inner(Arc::clone(p)))
+    }
+
     /// Number of outstanding views sharing this storage.
     pub fn ref_count(&self) -> usize {
         Arc::strong_count(&self.storage)
@@ -202,6 +217,24 @@ impl ZcBytes {
             off: first.off,
             len: total,
         })
+    }
+}
+
+impl Drop for ZcBytes {
+    /// The last view of a pooled buffer hands the pages and the emptied
+    /// node back to the pool together. `Arc::get_mut` succeeds only for
+    /// the sole owner, so no other view can see the node emptied. The pool
+    /// gets a second handle to the node; this view's own handle goes right
+    /// after, and the pool reuses a node only once it is the sole owner.
+    /// When two last views race, neither is sole owner, and the final
+    /// `Arc` drop frees the node, whose `Storage::drop` returns the pages.
+    fn drop(&mut self) {
+        let Some(storage) = Arc::get_mut(&mut self.storage) else {
+            return;
+        };
+        if let (Some(pool), Some(buf)) = (storage.pool.take(), storage.buf.take()) {
+            pool.release(buf, Some(Arc::clone(&self.storage)));
+        }
     }
 }
 

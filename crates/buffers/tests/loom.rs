@@ -12,8 +12,9 @@
 //! * **PagePool recycling** — concurrent acquire/release must neither lose
 //!   buffers nor double-hand-out pages; counters must balance afterwards.
 //! * **ZcBytes refcount/Drop** — clones and slices on racing threads keep
-//!   the payload readable, and exactly the last drop returns the pages to
-//!   the pool, exactly once.
+//!   the payload readable, and exactly the last drop returns the pages and
+//!   the reference-count node to the pool, each exactly once; a node is
+//!   never handed to a new freeze while a view of it is alive.
 #![cfg(loom)]
 
 use loom::{explore, thread};
@@ -61,29 +62,42 @@ fn pool_recycling_under_contention() {
 }
 
 /// One frozen buffer, shared as ZcBytes clones/slices across threads. The
-/// payload must stay readable from every view, and the pages must return to
-/// the pool exactly once — at the final drop, wherever it happens.
+/// payload must stay readable from every view, and the pages and the
+/// reference-count node must return to the pool exactly once — at the
+/// final drop, wherever it happens. Meanwhile other freezes race for the
+/// pool's spare nodes; none may be given the node the live views share.
 #[test]
 fn zbytes_refcount_returns_pages_once() {
     loom::model(|| {
         let pool = PagePool::new(1 << 20);
+        // Seed one spare node, so `z` below reuses it.
+        drop(pool.acquire(4096).freeze());
+        assert_eq!(pool.stats().spare_nodes, 1);
         let z: ZcBytes = {
             let mut lease = pool.acquire(4096);
             lease.extend_from_slice(&[0xAB; 256]);
             lease.freeze()
         };
-        assert_eq!(pool.stats().returns, 0, "alive view must hold the pages");
+        let s = pool.stats();
+        assert_eq!(s.returns, 1, "alive view must hold the pages: {s:?}");
+        assert_eq!(s.spare_nodes, 0, "alive view must hold the node: {s:?}");
 
         let mut handles = Vec::new();
         for t in 0..2usize {
             let view = z.slice(t * 64..(t + 1) * 64);
+            let pool = pool.clone();
             handles.push(thread::spawn(move || {
                 explore();
                 assert_eq!(view.len(), 64);
                 assert!(view.as_slice().iter().all(|&b| b == 0xAB));
+                // A freeze while `view` lives must get some other node.
+                let other = pool.acquire(4096).freeze();
+                assert!(!other.ptr_eq(&view), "live node handed out again");
                 let sub = view.slice(8..16);
                 explore();
                 assert_eq!(sub.as_slice(), &[0xAB; 8]);
+                drop(other);
+                explore();
                 // Views drop here, racing with the other thread and main.
             }));
         }
@@ -94,13 +108,27 @@ fn zbytes_refcount_returns_pages_once() {
         }
 
         let s = pool.stats();
-        assert_eq!(s.returns, 1, "pages must return exactly once: {s:?}");
+        // The seed, the two racing freezes and `z`: four buffers, each
+        // returned once.
+        assert_eq!(s.returns, 4, "pages must return exactly once: {s:?}");
         assert_eq!(s.discards, 0, "stats: {s:?}");
-        // Recycling observable: next acquire reuses the returned buffer.
+        // Every node ever allocated is spare again, none twice: `z`'s node
+        // plus at most the two the racing freezes allocated.
+        assert!(
+            (1..=3).contains(&s.spare_nodes),
+            "nodes must return exactly once: {s:?}"
+        );
+        // Recycling observable: the next freezes reuse returned buffers
+        // and take every spare node, each a distinct one.
         let before = s.reuses;
-        let lease = pool.acquire(4096);
-        assert_eq!(pool.stats().reuses, before + 1);
-        drop(lease);
+        let views: Vec<ZcBytes> = (0..s.spare_nodes)
+            .map(|_| pool.acquire(4096).freeze())
+            .collect();
+        assert_eq!(pool.stats().reuses, before + s.spare_nodes);
+        assert_eq!(pool.stats().spare_nodes, 0);
+        for (i, a) in views.iter().enumerate() {
+            assert!(views[i + 1..].iter().all(|b| !a.ptr_eq(b)));
+        }
     });
 }
 

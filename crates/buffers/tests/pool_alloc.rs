@@ -1,4 +1,5 @@
-//! A warm pool cycle must not touch the heap.
+//! Warm pool cycles must not touch the heap: neither leasing a buffer nor
+//! freezing it into shared views.
 //!
 //! The counting allocator below counts per thread, so allocations made by
 //! the test harness's other threads never reach the assertion.
@@ -68,4 +69,32 @@ fn warm_acquire_release_cycle_allocates_nothing() {
     let s = pool.stats();
     assert_eq!(s.fresh_allocations, 2);
     assert_eq!(s.reuses, 200);
+}
+
+#[test]
+fn warm_freeze_clone_drop_cycle_allocates_nothing() {
+    let pool = PagePool::new(1 << 20);
+    // Warm up: the first freeze allocates the reference-count node, and
+    // the last drop of its views hands node and pages back together.
+    drop(pool.acquire(4096).freeze());
+    let before = allocs();
+    for i in 0..100u8 {
+        let mut lease = pool.acquire(4096);
+        lease.extend_from_slice(&[i; 64]);
+        let view = lease.freeze();
+        let copy = view.clone();
+        let part = copy.slice(8..16);
+        drop(view);
+        drop(copy);
+        assert_eq!(part.as_slice(), &[i; 8]);
+        drop(part);
+    }
+    assert_eq!(
+        allocs() - before,
+        0,
+        "warm freeze/clone/drop cycles must not allocate"
+    );
+    let s = pool.stats();
+    assert_eq!((s.fresh_allocations, s.reuses, s.returns), (1, 100, 101));
+    assert_eq!(s.spare_nodes, 1, "the one node went back each time");
 }

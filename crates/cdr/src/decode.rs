@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use zc_buffers::{CopyLayer, CopyMeter, ZcBytes};
+use zc_buffers::{AlignedBuf, CopyLayer, CopyMeter, PagePool, ZcBytes};
 
 use crate::endian::{self, ByteOrder};
 use crate::{CdrError, CdrResult, MAX_CDR_LENGTH};
@@ -21,6 +21,9 @@ pub struct CdrDecoder<'a> {
     pos: usize,
     order: ByteOrder,
     meter: Option<Arc<CopyMeter>>,
+    /// Where inline octet sequences that must end up page-aligned are
+    /// copied to (see [`CdrDecoder::read_aligned`]).
+    pool: Option<&'a PagePool>,
     /// Out-of-band blocks, taken by index exactly once each.
     deposits: Vec<Option<ZcBytes>>,
     zc_enabled: bool,
@@ -34,6 +37,7 @@ impl<'a> CdrDecoder<'a> {
             pos: 0,
             order,
             meter: None,
+            pool: None,
             deposits: Vec::new(),
             zc_enabled: false,
         }
@@ -43,6 +47,14 @@ impl<'a> CdrDecoder<'a> {
     /// [`CopyLayer::Demarshal`].
     pub fn with_meter(mut self, meter: Arc<CopyMeter>) -> CdrDecoder<'a> {
         self.meter = Some(meter);
+        self
+    }
+
+    /// Draw the page-aligned buffers that inline `sequence<ZC_Octet>`
+    /// values are demarshaled into from `pool` (the receiving connection's),
+    /// so they recycle instead of being allocated per message.
+    pub fn with_pool(mut self, pool: &'a PagePool) -> CdrDecoder<'a> {
+        self.pool = Some(pool);
         self
     }
 
@@ -232,19 +244,55 @@ impl<'a> CdrDecoder<'a> {
         std::str::from_utf8(&bytes[..len - 1]).map_err(|_| CdrError::InvalidString)
     }
 
-    /// Bulk octet read: ulong count then the raw bytes, copied out (and
-    /// metered at [`CopyLayer::Demarshal`]) — the conventional
+    /// Bulk octet read: ulong count then the raw bytes, copied out once
+    /// (metered at [`CopyLayer::Demarshal`]) — the conventional
     /// `sequence<octet>` path.
     pub fn read_octet_seq(&mut self) -> CdrResult<Vec<u8>> {
         let len = self.read_u32()?;
         let len = self.checked_len(len, 1)?;
         let src = self.take(len)?;
-        let mut out = vec![0u8; len];
-        match &self.meter {
-            Some(m) => m.copy(CopyLayer::Demarshal, &mut out, src),
-            None => out.copy_from_slice(src),
+        let mut out = Vec::with_capacity(len);
+        out.extend_from_slice(src);
+        if let Some(m) = &self.meter {
+            m.record(CopyLayer::Demarshal, len);
         }
         Ok(out)
+    }
+
+    /// Bulk octet read into page-aligned storage: the `sequence<octet>`
+    /// wire form, demarshaled as by [`CdrDecoder::read_aligned`].
+    pub fn read_octet_seq_aligned(&mut self) -> CdrResult<ZcBytes> {
+        let len = self.read_u32()?;
+        self.read_aligned(len)
+    }
+
+    /// Copy the next `len` bytes once, metered at [`CopyLayer::Demarshal`],
+    /// into page-aligned storage: a buffer from the decoder's pool when it
+    /// has one ([`CdrDecoder::with_pool`]), else a fresh [`AlignedBuf`].
+    /// The buffer is sized only after `checked_len` and `take` have
+    /// confirmed the bytes are present.
+    pub fn read_aligned(&mut self, len: u32) -> CdrResult<ZcBytes> {
+        let len = self.checked_len(len, 1)?;
+        let src = self.take(len)?;
+        let fill = |buf: &mut AlignedBuf| {
+            buf.set_len(len);
+            match &self.meter {
+                Some(m) => m.copy(CopyLayer::Demarshal, buf.as_mut_slice(), src),
+                None => buf.as_mut_slice().copy_from_slice(src),
+            }
+        };
+        Ok(match self.pool {
+            Some(pool) => {
+                let mut buf = pool.acquire(len);
+                fill(&mut buf);
+                buf.freeze()
+            }
+            None => {
+                let mut buf = AlignedBuf::with_capacity(len);
+                fill(&mut buf);
+                ZcBytes::from_aligned(buf)
+            }
+        })
     }
 
     /// Borrow a bulk octet region without copying (used where the caller can
@@ -389,6 +437,47 @@ mod tests {
         assert_eq!(back, payload);
         assert_eq!(m.bytes(CopyLayer::Marshal), 5000);
         assert_eq!(m.bytes(CopyLayer::Demarshal), 5000);
+    }
+
+    #[test]
+    fn aligned_octet_seq_copies_once_into_the_pool() {
+        let m = CopyMeter::new_shared();
+        let pool = PagePool::new(1 << 20);
+        let payload: Vec<u8> = (0..5000).map(|i| (i % 256) as u8).collect();
+        let mut e = CdrEncoder::new(ByteOrder::Little);
+        e.write_octet_seq(&payload);
+        let bytes = e.finish_stream();
+        for pooled in [false, true] {
+            let before = m.bytes(CopyLayer::Demarshal);
+            let mut d = CdrDecoder::new(&bytes, ByteOrder::Little).with_meter(Arc::clone(&m));
+            if pooled {
+                d = d.with_pool(&pool);
+            }
+            let back = d.read_octet_seq_aligned().unwrap();
+            assert_eq!(back.as_slice(), &payload[..]);
+            assert!(back.is_page_aligned());
+            assert_eq!(m.bytes(CopyLayer::Demarshal) - before, 5000);
+        }
+        assert_eq!(
+            pool.stats().fresh_allocations,
+            1,
+            "pooled read drew one buffer"
+        );
+    }
+
+    #[test]
+    fn aligned_read_of_a_lying_length_touches_no_pool() {
+        let pool = PagePool::new(1 << 20);
+        let mut bytes = 0x3FFF_FFFFu32.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0; 16]);
+        let mut d = CdrDecoder::new(&bytes, ByteOrder::Little).with_pool(&pool);
+        assert!(matches!(
+            d.read_octet_seq_aligned(),
+            Err(CdrError::OutOfBounds { .. })
+        ));
+        let mut d = CdrDecoder::new(&bytes, ByteOrder::Little).with_pool(&pool);
+        assert!(d.read_aligned(1 << 20).is_err());
+        assert_eq!(pool.stats().fresh_allocations, 0);
     }
 
     #[test]

@@ -83,7 +83,8 @@ impl CdrMarshal for OctetSeq {
 ///   the index against blocks the transport deposited into page-aligned
 ///   memory — again zero payload bytes touched.
 /// * **Plain stream**: marshal/demarshal degrade to exactly the
-///   [`OctetSeq`] representation (one metered copy each side), keeping the
+///   [`OctetSeq`] representation (one metered copy each side, the received
+///   one into a buffer from the decoder's pool), keeping the
 ///   wire IIOP-compatible with peers that never heard of `ZC_Octet`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZcOctetSeq {
@@ -192,14 +193,9 @@ impl CdrMarshal for ZcOctetSeq {
             Ok(ZcOctetSeq { data: block })
         } else {
             // Inline representation: one copy out of the receive buffer into
-            // aligned storage (metered as demarshal by read_octet_seq).
-            let bytes = dec.read_octet_seq()?;
-            // zc-audit: allow(taint-alloc) — sized by bytes already decoded and held; read_octet_seq bounds them through checked_len
-            let mut buf = zc_buffers::AlignedBuf::with_capacity(bytes.len());
-            // zc-audit: allow(copy) — ZC-incapable peer fallback: inline bytes move into aligned storage, metered upstream as Demarshal
-            buf.extend_from_slice(&bytes);
+            // aligned storage, metered as demarshal.
             Ok(ZcOctetSeq {
-                data: ZcBytes::from_aligned(buf),
+                data: dec.read_octet_seq_aligned()?,
             })
         }
     }

@@ -50,14 +50,11 @@ use zc_transport::{Connection, TransportCtx, TransportError};
 pub const FRAGMENT_THRESHOLD: usize = 4 << 20;
 
 /// Argument/result buffers a connection keeps for reuse (one per caller
-/// sharing it is enough to stop encoder growth in steady state).
+/// sharing it is enough to stop encoder growth in steady state). Each is
+/// kept only while charged against the page pool's retention bound, as is
+/// the send buffer, so idle connection buffers of any size stay inside
+/// that one bound.
 const SPARE_BODIES: usize = 2;
-
-/// Largest buffer capacity a connection keeps for reuse, as a spare body
-/// or as its send buffer. Small calls stop allocating; a large inline
-/// message frees its buffers instead of pinning them for the connection's
-/// lifetime outside the page pool's retention bound.
-const SPARE_BUF_MAX_CAPACITY: usize = 64 << 10;
 
 use crate::{OrbError, OrbResult};
 
@@ -215,11 +212,12 @@ pub struct GiopConn {
     /// Zero-copy send-path health (graceful degradation).
     degrade: DegradeState,
     /// Every outgoing message's header part is encoded here, behind its
-    /// GIOP header; the allocation is reused from message to message
-    /// while it stays within [`SPARE_BUF_MAX_CAPACITY`].
+    /// GIOP header; the allocation is reused from message to message. While
+    /// idle here its capacity is charged to the pool.
     send_buf: Vec<u8>,
     /// Finished argument/result buffers, handed out again by
-    /// [`GiopConn::body_encoder`].
+    /// [`GiopConn::body_encoder`]; each one's capacity is charged to the
+    /// pool while it waits here.
     spare_bodies: Vec<Vec<u8>>,
 }
 
@@ -476,15 +474,17 @@ impl GiopConn {
     /// An empty buffer, recycled when one is spare.
     fn spare_body(&mut self) -> Vec<u8> {
         let mut buf = self.spare_bodies.pop().unwrap_or_default();
+        self.ctx.pool.uncharge(buf.capacity());
         buf.clear();
         buf
     }
 
     /// Hand a finished argument/result buffer back for the next
     /// [`GiopConn::body_encoder`], so steady-state encoding stops growing
-    /// fresh allocations. Buffers over [`SPARE_BUF_MAX_CAPACITY`] are freed.
+    /// fresh allocations. It is kept only if the pool can charge its
+    /// capacity against the retention bound; otherwise it is freed.
     pub fn recycle_body(&mut self, buf: Vec<u8>) {
-        if self.spare_bodies.len() < SPARE_BODIES && buf.capacity() <= SPARE_BUF_MAX_CAPACITY {
+        if self.spare_bodies.len() < SPARE_BODIES && self.ctx.pool.charge(buf.capacity()) {
             self.spare_bodies.push(buf);
         }
     }
@@ -499,6 +499,7 @@ impl GiopConn {
     /// [`GiopConn::send_encoded`] sends it and takes the buffer back.
     fn begin(&mut self, msg_type: MessageType) -> CdrEncoder {
         let buf = std::mem::take(&mut self.send_buf);
+        self.ctx.pool.uncharge(buf.capacity());
         begin_message(buf, self.version, self.wire_order(), msg_type)
     }
 
@@ -513,7 +514,7 @@ impl GiopConn {
     ) -> OrbResult<usize> {
         let (mut head, _) = enc.finish();
         let sent = self.send_framed(msg_type, &mut head, tail);
-        if head.capacity() <= SPARE_BUF_MAX_CAPACITY {
+        if self.ctx.pool.charge(head.capacity()) {
             self.send_buf = head;
         }
         sent
@@ -733,27 +734,22 @@ impl GiopConn {
             Ok((blocks, align_up(after_header, 8)))
         } else {
             // Inline: blocks precede the arguments, each 8-aligned with a
-            // ulong length prefix. Copy each out into aligned storage.
-            let mut dec =
-                CdrDecoder::new(body, order).with_meter(std::sync::Arc::clone(&self.ctx.meter));
+            // ulong length prefix. Copy each out into a pool buffer.
+            let mut dec = CdrDecoder::new(body, order)
+                .with_meter(std::sync::Arc::clone(&self.ctx.meter))
+                .with_pool(&self.ctx.pool);
             dec.skip(after_header)?;
             let mut blocks = Vec::with_capacity(manifest.block_count());
             for len in manifest.lengths() {
                 dec.align(8)?;
-                let announced = dec.read_u32()? as u64;
-                if announced != len {
+                let announced = dec.read_u32()?;
+                if u64::from(announced) != len {
                     // zc-audit: allow(control-plane) — protocol error diagnostic
                     return Err(OrbError::Protocol(format!(
                         "inline deposit length {announced} disagrees with manifest {len}"
                     )));
                 }
-                let bytes = dec.read_raw(len as usize)?;
-                let mut buf = self.ctx.pool.acquire(bytes.len().max(1));
-                buf.set_len(bytes.len());
-                self.ctx
-                    .meter
-                    .copy(zc_buffers::CopyLayer::Demarshal, buf.as_mut_slice(), bytes);
-                blocks.push(buf.freeze());
+                blocks.push(dec.read_aligned(announced)?);
             }
             dec.align(8)?;
             Ok((blocks, dec.position()))
@@ -1345,6 +1341,9 @@ impl Drop for GiopConn {
             tele.note_degraded(false);
         }
         tele.note_conn_closed();
+        // Idle buffers leave with the connection, and so do their charges.
+        let idle = self.spare_bodies.iter().map(Vec::capacity).sum::<usize>();
+        self.ctx.pool.uncharge(idle + self.send_buf.capacity());
     }
 }
 
@@ -1356,6 +1355,7 @@ fn align_up(n: usize, a: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zc_buffers::PagePool;
     use zc_transport::ConnStats;
 
     /// A transport that accepts every send and has nothing to receive.
@@ -1391,33 +1391,64 @@ mod tests {
         }
     }
 
-    fn sink_conn() -> GiopConn {
+    fn sink_conn(ctx: TransportCtx) -> GiopConn {
         let hello = Handshake::local(false);
         GiopConn::established(
             Box::new(Sink),
             Handshake::negotiate(&hello, &hello),
-            TransportCtx::new(),
+            ctx,
             ConnTuning::default(),
         )
     }
 
     #[test]
     fn large_buffers_are_freed_not_kept() {
-        let mut conn = sink_conn();
-        conn.recycle_body(Vec::with_capacity(SPARE_BUF_MAX_CAPACITY + 1));
-        conn.recycle_body(Vec::with_capacity(512));
+        let bound = 256 << 10;
+        let pool = PagePool::new(bound);
+        let mut conn = sink_conn(TransportCtx {
+            pool: pool.clone(),
+            ..TransportCtx::new()
+        });
+        let retained = || pool.stats().retained_bytes as usize;
+
+        // Larger than the pool's free retention room: freed.
+        conn.recycle_body(Vec::with_capacity(bound + 1));
+        assert!(conn.spare_bodies.is_empty());
+        assert_eq!(retained(), 0);
+        // Fits: kept, and charged by its capacity.
+        let fits = Vec::with_capacity(bound / 2);
+        let cap = fits.capacity();
+        conn.recycle_body(fits);
         assert_eq!(conn.spare_bodies.len(), 1);
-        assert_eq!(conn.spare_bodies[0].capacity(), 512);
+        assert_eq!(retained(), cap);
+        // The room left is now too small for a second one that size.
+        conn.recycle_body(Vec::with_capacity(bound / 2 + 1));
+        assert_eq!(conn.spare_bodies.len(), 1);
+        assert_eq!(retained(), cap);
+        // Reuse releases the charge.
+        let enc = conn.body_encoder();
+        assert_eq!(retained(), 0);
+        let (body, _) = enc.finish();
+        assert_eq!(body.capacity(), cap, "the spare buffer was reused");
+        conn.recycle_body(body);
+        assert_eq!(retained(), cap);
 
-        // A message whose header part outgrows the bound (as inline
-        // deposit blocks make it) leaves no large send buffer behind.
+        // A message whose header part outgrows the room left (as inline
+        // deposit blocks make it) leaves no send buffer behind.
         let mut enc = conn.begin(MessageType::Request);
-        enc.write_raw(&[0u8; SPARE_BUF_MAX_CAPACITY]);
+        enc.write_raw(&vec![0u8; bound - cap + 1]);
         conn.send_encoded(MessageType::Request, enc, &[]).unwrap();
-        assert!(conn.send_buf.capacity() <= SPARE_BUF_MAX_CAPACITY);
-
+        assert_eq!(conn.send_buf.capacity(), 0);
+        assert_eq!(retained(), cap);
+        // A small one is kept, and charged.
         let enc = conn.begin(MessageType::Request);
         conn.send_encoded(MessageType::Request, enc, &[]).unwrap();
-        assert!(conn.send_buf.capacity() > 0, "a small send buffer is kept");
+        let send_cap = conn.send_buf.capacity();
+        assert!(send_cap > 0, "a small send buffer is kept");
+        assert_eq!(retained(), cap + send_cap);
+
+        // Dropping the connection returns every charge.
+        drop(conn);
+        assert_eq!(retained(), 0);
     }
 }

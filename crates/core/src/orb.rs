@@ -468,9 +468,12 @@ impl Orb {
             tele.note_dispatch_begin();
 
             // Build the argument decoder over the received body, wired to
-            // the deposited blocks when the connection is in ZC mode.
+            // the deposited blocks when the connection is in ZC mode and to
+            // the connection's pool (the ORB's) for blocks marshaled inline.
             let deposits = std::mem::take(&mut incoming.deposits);
-            let mut dec = CdrDecoder::new(&incoming.body, incoming.order).with_meter(self.meter());
+            let mut dec = CdrDecoder::new(&incoming.body, incoming.order)
+                .with_meter(self.meter())
+                .with_pool(&self.inner.ctx.pool);
             if incoming.zc {
                 dec = dec.with_deposits(deposits);
             }

@@ -702,6 +702,12 @@ impl ReplyResults {
         // persist across calls so descriptor indices stay stable.
         let slots = std::mem::take(&mut self.slots);
         let mut dec = CdrDecoder::new(&self.body, self.order).with_meter(Arc::clone(&self.meter));
+        // Results marshaled inline demarshal into the pool the reply was
+        // received into: the connection's.
+        let pool = self.body.pool();
+        if let Some(pool) = &pool {
+            dec = dec.with_pool(pool);
+        }
         if self.zc {
             dec = dec.with_deposit_slots(slots);
         }

@@ -5,25 +5,27 @@
 //! to the invocation too. So this binary holds exactly one test; a sibling
 //! test running in parallel would allocate into the same counters.
 //!
-//! Two budgets are checked, both per call in steady state:
+//! Three budgets are checked, all per call in steady state:
 //!
 //! * a small RPC (`u64` + string + 512-byte `OctetSeq` in, `u64` out)
-//!   makes at most [`SMALL_RPC_ALLOCS`] allocations. Two are API-owned:
+//!   makes at most [`SMALL_RPC_ALLOCS`] allocations. Both are API-owned:
 //!   the servant demarshals an owned `String` and an owned `OctetSeq`.
-//!   The other two are the reference counts of the two received GIOP
-//!   frames (one each way), whose pages come from the pool;
-//! * a 1 MiB `OctetSeq` echo against a server built with `.zc(false)`
-//!   allocates at most [`BULK_ECHO_BYTES`]: the two owned sequences the
-//!   demarshal hands out, the argument and result buffers the sequence is
-//!   marshaled into (a connection frees buffers that large rather than
-//!   keep them), plus small change. Every received GIOP message lives in
-//!   a pooled buffer.
+//!   Every received GIOP frame lives in a pool buffer behind a recycled
+//!   reference-count node;
+//! * a 1 MiB `sequence<ZC_Octet>` echo against a server built with
+//!   `.zc(false)`, so the block is marshaled inline both ways, makes at
+//!   most [`INLINE_ECHO_ALLOCS`] allocation and [`INLINE_ECHO_BYTES`]: the
+//!   argument and result buffers are kept charged to the pool, and each
+//!   side demarshals the block with one copy into a pool buffer;
+//! * the same echo with zero-copy negotiated makes at most
+//!   [`ZC_ECHO_ALLOCS`]: the deposit lists each side's encoder and
+//!   receiver build, one per message each.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use zc_cdr::OctetSeq;
+use zc_cdr::{OctetSeq, ZcOctetSeq};
 use zc_orb::{ObjectAdapterExt, ObjectRef, Orb, OrbResult, Servant, ServerRequest};
 
 struct CountingAlloc;
@@ -61,9 +63,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTING: CountingAlloc = CountingAlloc;
 
 /// Allocations per small-RPC call.
-const SMALL_RPC_ALLOCS: u64 = 4;
-/// Bytes allocated per 1 MiB echo call: 4.25 MiB.
-const BULK_ECHO_BYTES: u64 = 17 << 18;
+const SMALL_RPC_ALLOCS: f64 = 2.0;
+/// Allocations per 1 MiB inline echo call.
+const INLINE_ECHO_ALLOCS: f64 = 1.0;
+/// Bytes allocated per 1 MiB inline echo call: 64 KiB.
+const INLINE_ECHO_BYTES: f64 = (64 << 10) as f64;
+/// Allocations per 1 MiB zero-copy echo call.
+const ZC_ECHO_ALLOCS: f64 = 4.0;
 const BULK_LEN: usize = 1 << 20;
 
 struct Bench;
@@ -85,7 +91,7 @@ impl Servant for Bench {
                 req.result(&sum)
             }
             "echo" => {
-                let block: OctetSeq = req.arg()?;
+                let block: ZcOctetSeq = req.arg()?;
                 req.result(&block)
             }
             other => req.bad_operation(other),
@@ -140,31 +146,43 @@ fn invocations_stay_within_their_allocation_budgets() {
         assert_ne!(sum, 0);
     });
     assert!(
-        allocs <= SMALL_RPC_ALLOCS as f64,
+        allocs <= SMALL_RPC_ALLOCS,
         "small RPC made {allocs:.2} allocations per call, budget {SMALL_RPC_ALLOCS}"
     );
     drop(obj);
     server.shutdown();
 
-    // (b) 1 MiB inline echo against a ZC-incapable server.
-    let (_server_orb, server, obj) = serve(false);
-    assert!(!obj.is_zero_copy());
-    let block = OctetSeq(vec![0xA5; BULK_LEN]);
-    let (_, bytes_per_call) = per_call(40, |_| {
-        let back: OctetSeq = obj
-            .request("echo")
-            .arg(&block)
-            .and_then(|r| r.invoke())
-            .and_then(|r| r.result())
-            .unwrap();
-        assert_eq!(back.0.len(), BULK_LEN);
-    });
-    assert!(
-        bytes_per_call <= BULK_ECHO_BYTES as f64,
-        "1 MiB echo allocated {:.2} MiB per call, budget {:.2} MiB",
-        bytes_per_call / (1 << 20) as f64,
-        BULK_ECHO_BYTES as f64 / (1 << 20) as f64
-    );
-    drop(obj);
-    server.shutdown();
+    // (b) 1 MiB inline echo against a ZC-incapable server, and (c) the
+    // same echo on a zero-copy connection.
+    let block = ZcOctetSeq::from_zc(zc_buffers::ZcBytes::zeroed(BULK_LEN));
+    for zc in [false, true] {
+        let (_server_orb, server, obj) = serve(zc);
+        assert_eq!(obj.is_zero_copy(), zc);
+        let (allocs, bytes) = per_call(40, |_| {
+            let back: ZcOctetSeq = obj
+                .request("echo")
+                .arg(&block)
+                .and_then(|r| r.invoke())
+                .and_then(|r| r.result())
+                .unwrap();
+            assert_eq!(back.len(), BULK_LEN);
+        });
+        if zc {
+            assert!(
+                allocs <= ZC_ECHO_ALLOCS,
+                "1 MiB zero-copy echo made {allocs:.2} allocations per call, \
+                 budget {ZC_ECHO_ALLOCS}"
+            );
+        } else {
+            assert!(
+                allocs <= INLINE_ECHO_ALLOCS && bytes <= INLINE_ECHO_BYTES,
+                "1 MiB inline echo made {allocs:.2} allocations and {:.1} KiB per call, \
+                 budget {INLINE_ECHO_ALLOCS} and {:.0} KiB",
+                bytes / 1024.0,
+                INLINE_ECHO_BYTES / 1024.0
+            );
+        }
+        drop(obj);
+        server.shutdown();
+    }
 }

@@ -13,8 +13,9 @@
 //! 3. **Edges**: a call `f → g` exists when the call's receiver or any
 //!    argument identifier is tainted in `f` and some function named like
 //!    the callee has a zero-copy-typed signature. Resolution is by bare
-//!    name (no type inference), unioned over same-named functions — an
-//!    over-approximation that can only add edges.
+//!    name (no type inference), unioned over the same-named functions the
+//!    shared resolver ([`crate::callgraph`]) lets `f`'s package reach — an
+//!    over-approximation within those crate lines.
 //! 4. **Report**: any banned idiom applied to a tainted value inside a
 //!    function reachable from a seed but *outside* the declared modules is
 //!    a violation, waivable exactly like rule 1 (`allow(copy)` citing a
@@ -26,17 +27,16 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
+use crate::callgraph::{CallGraph, FnRef};
 use crate::config::{path_matches_any, Config};
 use crate::lexer::TokKind;
 use crate::parser::FnItem;
 use crate::rules::{find_idiom_sites, waiver_for, Violation, Waiver, COPY_KINDS};
 use crate::FileAnalysis;
 
-/// Global function handle: (file index, item index).
-type FnRef = (usize, usize);
-
 pub(crate) fn run(
     files: &[FileAnalysis],
+    graph: &CallGraph<'_>,
     cfg: &Config,
     waivers: &[BTreeMap<u32, Waiver>],
     out: &mut Vec<Violation>,
@@ -51,17 +51,6 @@ pub(crate) fn run(
         .iter()
         .flat_map(|m| m.paths.iter().cloned())
         .collect();
-
-    // Index every function by name.
-    let mut by_name: HashMap<&str, Vec<FnRef>> = HashMap::new();
-    for (fi, file) in files.iter().enumerate() {
-        for (ii, item) in file.items.iter().enumerate() {
-            by_name
-                .entry(item.name.as_str())
-                .or_default()
-                .push((fi, ii));
-        }
-    }
 
     let zc_params = |f: &FnItem| -> HashSet<String> {
         f.params
@@ -115,10 +104,7 @@ pub(crate) fn run(
             if !flows {
                 continue;
             }
-            let Some(targets) = by_name.get(call.callee.as_str()) else {
-                continue;
-            };
-            for &g in targets {
+            for g in graph.resolve(r.0, &call.callee) {
                 if origin.contains_key(&g) {
                     continue;
                 }

@@ -12,6 +12,7 @@
 
 mod atomics;
 mod blocking;
+mod callgraph;
 pub mod config;
 mod escape;
 pub mod lexer;
@@ -325,12 +326,13 @@ pub fn audit_workspace_report(root: &Path, cfg: &Config) -> std::io::Result<Repo
     for (f, w) in files.iter().zip(&waivers) {
         rules::run_rules(&f.rel, &f.scanned, cfg, w, &f.test_spans, &mut out);
     }
-    escape::run(&files, cfg, &waivers, &mut out);
+    let graph = callgraph::CallGraph::new(root, &files);
+    escape::run(&files, &graph, cfg, &waivers, &mut out);
     locks::run(&files, cfg, &waivers, &mut out);
-    taint::run(&files, cfg, &waivers, &mut out);
+    taint::run(&files, &graph, cfg, &waivers, &mut out);
     wire::run(&files, cfg, &waivers, &mut out);
     let atomics_summary = atomics::run(&files, cfg, &waivers, &mut out);
-    let reactor = blocking::run(&files, cfg, &waivers, &mut out);
+    let reactor = blocking::run(&files, &graph, cfg, &waivers, &mut out);
 
     // Stale sweep, deferred until every pass has had a chance to consume
     // its waivers. Reported under the rule the waiver kind belongs to.

@@ -22,7 +22,8 @@
 //!    a header from the socket).
 //! 3. **Edges**: a call whose receiver chain or argument list mentions a
 //!    tainted identifier propagates all-params taint to every same-named
-//!    workspace function. Std-prelude names are opaque (see
+//!    function the shared resolver ([`crate::callgraph`]) lets the caller
+//!    reach: its own package and the packages it depends on. Std-prelude names are opaque (see
 //!    [`crate::locks::OPAQUE_CALLEES`]) *except* when called as
 //!    `self.method(..)`, which resolves within the same file and `impl`
 //!    type — `self.take(n)` inside the CDR decoder must not vanish behind
@@ -51,14 +52,12 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
+use crate::callgraph::{CallGraph, FnRef};
 use crate::config::{path_matches_any, Config};
 use crate::lexer::TokKind;
 use crate::locks::OPAQUE_CALLEES;
 use crate::rules::{waiver_for, Violation, Waiver, WaiverKind};
 use crate::FileAnalysis;
-
-/// Global function handle: (file index, item index).
-type FnRef = (usize, usize);
 
 /// One flagged sink inside an analyzed function.
 struct Sink {
@@ -77,6 +76,7 @@ struct TaintedCall {
 
 pub(crate) fn run(
     files: &[FileAnalysis],
+    graph: &CallGraph<'_>,
     cfg: &Config,
     waivers: &[BTreeMap<u32, Waiver>],
     out: &mut Vec<Violation>,
@@ -84,17 +84,6 @@ pub(crate) fn run(
     let tc = &cfg.taint;
     if tc.paths.is_empty() {
         return;
-    }
-
-    // Index every function by name.
-    let mut by_name: HashMap<&str, Vec<FnRef>> = HashMap::new();
-    for (fi, file) in files.iter().enumerate() {
-        for (ii, item) in file.items.iter().enumerate() {
-            by_name
-                .entry(item.name.as_str())
-                .or_default()
-                .push((fi, ii));
-        }
     }
 
     // Seeds: configured entrypoints inside the taint paths.
@@ -167,10 +156,7 @@ pub(crate) fn run(
             if opaque && !c.via_self {
                 continue;
             }
-            let Some(targets) = by_name.get(c.callee.as_str()) else {
-                continue;
-            };
-            for &g in targets {
+            for g in graph.resolve(fi, &c.callee) {
                 if origin.contains_key(&g) {
                     continue;
                 }

@@ -176,6 +176,29 @@ fn taint_good_fixture_is_clean_and_waiver_is_used() {
 }
 
 #[test]
+fn same_named_functions_in_other_packages_form_no_bridge() {
+    // `app` depends on `wire`; both define `summarize`. Resolved by name
+    // alone, `wire`'s `decode` would reach `app`'s `summarize` and through
+    // it `reserve_for`'s allocation and `app`'s sleep. Crate-aware, only
+    // `app`'s own entrypoint reaches into `wire`.
+    let dir = fixture_dir("crate_scope");
+    let cfg = zc_audit::Config::load(&dir.join("zc-audit.toml")).unwrap();
+    let report = zc_audit::audit_workspace_report(&dir, &cfg).unwrap();
+    let got: Vec<_> = report
+        .violations
+        .iter()
+        .map(|v| (v.file.as_str(), v.line, v.rule))
+        .collect();
+    assert_eq!(got, vec![("wire/src/lib.rs", 15, "taint-alloc")]);
+    assert!(
+        report.violations[0].msg.contains("`fn read_frame`"),
+        "the dependency edge app -> wire still resolves: {}",
+        report.violations[0].msg
+    );
+    assert!(report.reactor.is_empty(), "{:?}", report.reactor);
+}
+
+#[test]
 fn taint_findings_are_advisory_unless_denied() {
     let (code, stdout) = run_binary("taint_alloc_bad", &[]);
     assert_eq!(code, 0, "taint-* alone is advisory: {stdout}");
